@@ -193,17 +193,6 @@ class Tape:
 
         return self._emit(np.tile(v.values, (int(m), 1)), (v,), pull, "tile_rows")
 
-    def mean_rows(self, x: Tensor) -> Tensor:
-        if x.values.ndim != 2 or x.values.shape[0] == 0:
-            raise ConfigError(f"mean_rows expects a non-empty matrix, got shape {x.shape}")
-        m = x.values.shape[0]
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, np.tile(g / m, (m, 1)))
-
-        return self._emit(x.values.mean(axis=0), (x,), pull, "mean_rows")
-
     def leaky_relu(self, x: Tensor, slope: float = 0.01) -> Tensor:
         xv = x.values
         factor = np.where(xv > 0, 1.0, float(slope))
@@ -278,9 +267,6 @@ class Tape:
                 _accumulate(x, buf)
 
         return self._emit(x.values[idx], (x,), pull, "take_rows")
-
-    # embedding lookup is exactly a row gather on the embedding table
-    embed_lookup = take_rows
 
     def slice_last(self, x: Tensor, start: int, stop: int) -> Tensor:
         if x.values.ndim not in (1, 2):

@@ -161,12 +161,14 @@ def pattern_stats(g: Graph, link_set=None, anchors=None) -> PatternStats:
 # context perturbations
 
 
-def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None) -> ContextSet:
+def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None,
+                    max_per_hop=None) -> ContextSet:
     """Return a corrupted copy of the context.
 
     flip_label swaps which side each example sits on (applying it twice
     restores the original); random_context rebuilds a context of the same
-    shape from a freshly generated unrelated graph.
+    shape from a freshly generated unrelated graph, extracting its members
+    with the same radius and the given hop cap.
     """
     if kind == FLIP_LABEL:
         flipped = "flipped:"
@@ -191,7 +193,8 @@ def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None
             g, n_pos, n_neg, derive_seed_int(seed, "random-ctx-pairs"),
             forbidden=ds.full_edges,
         )
-        return build_context(ds, pos_pairs, neg_pairs, radius, source="random-graph")
+        return build_context(ds, pos_pairs, neg_pairs, radius, source="random-graph",
+                             max_per_hop=max_per_hop)
     raise ConfigError(f"unknown perturbation {kind!r}; expected one of {PERTURB_KINDS}")
 
 
@@ -213,7 +216,7 @@ def _encode_context_values(params, config, context):
 
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
     tape = Tape()
-    subs = [dataset.subgraph(p, config.radius) for p in pairs]
+    subs = [dataset.subgraph(p, **config.extraction) for p in pairs]
     h_all = encode_subgraphs(params, config, subs, tape)
     h_ctx = None if ctx_values is None else const(ctx_values)
     scores = []
@@ -374,10 +377,11 @@ def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
                 derive_seed_int(seed, "eval-ctx", dataset.name),
                 forbidden=dataset.full_edges,
             )
-            context = build_context(dataset, pos_pairs, neg_pairs, config.radius)
+            context = build_context(dataset, pos_pairs, neg_pairs, **config.extraction)
             if perturb is not None:
                 context = perturb_context(
-                    context, perturb, derive_seed_int(seed, "eval-perturb"), sbm_spec
+                    context, perturb, derive_seed_int(seed, "eval-perturb"), sbm_spec,
+                    config.max_per_hop,
                 )
         scores = score_pairs(params, config, dataset, pos + neg, context, jobs=jobs)
         value = hits_at_k(scores[: len(pos)], scores[len(pos):], k_eff)
@@ -464,9 +468,7 @@ def context_size_sweep(params, config: ModelConfig, dataset, sizes, ratio: float
             n_neg = min(size - int(round(size * ratio)), len(full_neg))
             if n_pos + n_neg == 0:
                 continue
-            context = build_context(
-                dataset, full_pos[:n_pos], full_neg[:n_neg], config.radius
-            )
+            context = build_context(dataset, full_pos[:n_pos], full_neg[:n_neg], **config.extraction)
             scores = score_pairs(params, config, dataset, pos + neg, context, jobs=jobs)
             value = hits_at_k(scores[: len(pos)], scores[len(pos):], k_eff)
             report.add(dataset.name, config.mode, size, ratio, None, seed, run,

@@ -2,8 +2,11 @@
 
 Graphs are simple (no self-loops, no multi-edges) over dense 0-based node
 ids, stored in compressed row form with each neighbor list sorted. All other
-modules treat `Graph` as read-only; "removing" an edge produces a new view
-via `Graph.without_edge`.
+modules treat `Graph` as read-only. Derived state that never changes (the
+edge array, the non-edge pools of `sample_nonedges`) is cached on the graph
+and dies with it. Subgraph extraction masks a target edge while it walks the
+graph (see labeling); `Graph.without_edge` builds an explicit copy without
+one edge, for callers that need a whole graph.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class Graph:
     read-only.
     """
 
-    __slots__ = ("indptr", "indices", "source_ids", "_edge_array")
+    __slots__ = ("indptr", "indices", "source_ids", "_edge_array", "_edge_codes", "_nonedge_pools")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, source_ids=None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -60,6 +63,8 @@ class Graph:
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
         self._edge_array = None
+        self._edge_codes = None
+        self._nonedge_pools = {}
 
     @classmethod
     def from_edges(cls, n: int, edges, source_ids=None) -> "Graph":
@@ -115,6 +120,15 @@ class Graph:
             arr.flags.writeable = False
             self._edge_array = arr
         return self._edge_array
+
+    def edge_codes(self) -> np.ndarray:
+        """Pair codes u*n+v of edge_array(), ascending (same order)."""
+        if self._edge_codes is None:
+            arr = self.edge_array()
+            codes = arr[:, 0] * self.n + arr[:, 1]
+            codes.flags.writeable = False
+            self._edge_codes = codes
+        return self._edge_codes
 
     def edge_set(self) -> frozenset:
         return frozenset(map(tuple, self.edge_array()))
@@ -355,9 +369,39 @@ def is_bipartite(g: Graph) -> bool:
 # splits and negative sampling
 
 
-def sample_nonedges(g: Graph, count: int, seed: int, exclude=()) -> list:
+#: Non-edge pools kept per graph (one per distinct exclude set); training
+#: and evaluation use one or two.
+NONEDGE_POOLS_PER_GRAPH = 4
+
+
+def _nonedge_pool(g: Graph, exclude) -> tuple:
+    """(codes, n_excluded): the sorted codes u*n+v of every pair u < v that
+    is neither an edge of g nor in exclude, and how many exclude pairs are
+    not edges. Cached on g per exclude set; a frozenset is its own key."""
+    key = exclude if isinstance(exclude, frozenset) else frozenset(map(tuple, exclude))
+    entry = g._nonedge_pools.get(key)
+    if entry is None:
+        n = g.n
+        edge_set = g.edge_set()
+        excluded = {canonical_pair(u, v) for u, v in key} - edge_set
+        forbidden = [u * n + v for u, v in edge_set | excluded if v < n]
+        iu, iv = np.triu_indices(n, k=1)
+        # codes of all pairs ascend in lexicographic pair order
+        codes = np.setdiff1d(iu * n + iv, np.array(forbidden, dtype=np.int64), assume_unique=True)
+        codes.flags.writeable = False
+        entry = (codes, len(excluded))
+        if len(g._nonedge_pools) >= NONEDGE_POOLS_PER_GRAPH:
+            g._nonedge_pools.pop(next(iter(g._nonedge_pools)))
+        g._nonedge_pools[key] = entry
+    return entry
+
+
+def sample_nonedges(g: Graph, count: int, seed: int, exclude=(), query=None) -> list:
     """Uniform sample (without replacement) of node pairs that are neither
-    edges of g nor members of exclude. Deterministic per seed."""
+    edges of g nor members of exclude (nor the pair `query`, if given).
+    Deterministic per seed: the draw indexes the lexicographic list of
+    allowed pairs. That list is built once per (graph, exclude set) and
+    cached on g; the query is then removed by position."""
     count = int(count)
     if count < 0:
         raise ConfigError("count must be non-negative")
@@ -365,25 +409,34 @@ def sample_nonedges(g: Graph, count: int, seed: int, exclude=()) -> list:
         return []
     n = g.n
     total_pairs = n * (n - 1) // 2
-    edge_set = g.edge_set()
-    excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
-    capacity = total_pairs - g.edge_count - len(excluded)
+    pool = None
+    if total_pairs <= 200_000:
+        pool, n_excluded = _nonedge_pool(g, exclude)
+        if query is not None:
+            a, b = canonical_pair(*query)
+            if a < 0 or b >= n:
+                raise ConfigError(f"query {query} out of range for graph with n={n}")
+            i = int(np.searchsorted(pool, a * n + b))
+            if i < len(pool) and pool[i] == a * n + b:
+                pool = np.delete(pool, i)
+                n_excluded += 1
+    else:
+        if query is not None:
+            exclude = set(exclude) | {tuple(query)}
+        edge_set = g.edge_set()
+        excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
+        n_excluded = len(excluded)
+    capacity = total_pairs - g.edge_count - n_excluded
     if count > capacity:
         raise DataError(
             f"requested {count} non-edges but only {capacity} exist "
-            f"(n={n}, edges={g.edge_count}, excluded={len(excluded)})"
+            f"(n={n}, edges={g.edge_count}, excluded={n_excluded})"
         )
     rng = derive_rng(seed, "nonedges", count)
-    forbidden = edge_set | excluded
-    if total_pairs <= 200_000:
-        pool = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in forbidden
-        ]
+    if pool is not None:
         picks = rng.choice(len(pool), size=count, replace=False)
-        return [pool[i] for i in picks]
+        return [divmod(code, n) for code in pool[picks].tolist()]
+    forbidden = edge_set | excluded
     # sparse regime: rejection sampling
     out = []
     chosen = set()

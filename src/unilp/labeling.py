@@ -1,9 +1,10 @@
 """Ego-subgraph extraction around a node pair and structural node labels.
 
 A candidate link (u, v) is represented by the subgraph induced on all nodes
-within `radius` hops of u or of v. The pair's own edge is removed before
-extraction (when present and requested), so the representation of a known
-link never contains the link itself. Each node then gets a two-slot label:
+within `radius` hops of u or of v. The pair's own edge is masked during
+extraction (when present and requested): the walk and the adjacency build
+skip it, without copying the graph, so the representation of a known link
+never contains the link itself. Each node then gets a two-slot label:
 
     (drnl(d_u, d_v), 0)   when the node reaches both targets,
     (0, d)                when it reaches exactly one target at distance d,
@@ -14,16 +15,23 @@ inside the extracted subgraph. drnl is the double-radius scheme
     1 + min(d_u, d_v) + (d // 2) * ((d // 2) + (d % 2) - 1),  d = d_u + d_v,
 
 which injectively encodes the orbit of (d_u, d_v) under swapping.
+
+Labeling also stores a flat form of the subgraph (label slots, degrees and
+neighbor columns as flat tuples), from which model batches are assembled
+with array operations instead of per-node loops.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConfigError, NumericError
-from .graphs import Graph, bfs_distances, canonical_pair
+from .graphs import Graph, canonical_pair
 from .rng import derive_rng
 
 
@@ -65,9 +73,15 @@ class LabelVocab:
             return min(a, self.drnl_cap)
         return self.drnl_cap + 1 + min(b, self.dist_cap)
 
-
-def vocab_index(vocab: LabelVocab, label: tuple) -> int:
-    return vocab.index(label)
+    def indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """`index` over arrays of label slots: label i is (a[i], b[i])."""
+        bad = (a < 0) | (b < 0) | ((a > 0) & (b > 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigError(f"malformed label tuple {(int(a[i]), int(b[i]))!r}")
+        return np.where(
+            a > 0, np.minimum(a, self.drnl_cap), self.drnl_cap + 1 + np.minimum(b, self.dist_cap)
+        )
 
 
 @dataclass(frozen=True)
@@ -77,12 +91,16 @@ class LabeledSubgraph:
     nodes: original node ids; local index 0 is u, 1 is v, the rest ascend.
     adj:   per-node tuples of local neighbor indices, each sorted.
     labels: per-node (a, b) tuples, or None before labeling.
+    flat:  set by with_labels: (slot_a, slot_b, degrees, columns), flat
+           tuples of ints; slot_a[i], slot_b[i] = labels[i], degrees[i] =
+           len(adj[i]) and columns = the adj tuples concatenated.
     """
 
     nodes: tuple
     adj: tuple
     radius: int
     labels: tuple = None
+    flat: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -96,18 +114,19 @@ class LabeledSubgraph:
         return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
 
     def with_labels(self, labels) -> "LabeledSubgraph":
-        return replace(self, labels=tuple(tuple(t) for t in labels))
+        labels = tuple(tuple(t) for t in labels)
+        slot_a, slot_b = zip(*labels)  # every subgraph holds its two targets
+        flat = (slot_a, slot_b, tuple(map(len, self.adj)), tuple(chain.from_iterable(self.adj)))
+        return replace(self, labels=labels, flat=flat)
 
 
-def _bounded_bfs(g: Graph, source: int, radius: int, cap, rng) -> dict:
+def _bounded_bfs(neighbors, source: int, radius: int, cap, rng) -> dict:
     """Distances within radius hops; each new frontier optionally thinned to
     cap nodes (uniform, seeded)."""
     dist = {source: 0}
     frontier = [source]
     for depth in range(1, radius + 1):
-        nxt = sorted(
-            {int(w) for x in frontier for w in g.neighbors(x)} - dist.keys()
-        )
+        nxt = sorted({w for x in frontier for w in neighbors(x)} - dist.keys())
         if cap is not None and len(nxt) > cap:
             picks = rng.choice(len(nxt), size=cap, replace=False)
             nxt = [nxt[i] for i in sorted(picks)]
@@ -127,25 +146,33 @@ def extract_ego_subgraph(
 ) -> LabeledSubgraph:
     """Induced subgraph on nodes within radius hops of either endpoint.
 
-    Extraction runs on the view with the target edge removed (when present
-    and remove_target is set), so known links are represented the same way
-    candidate links are. Both endpoints are always included, even when
-    isolated. Node order is canonical: u, v, then ascending original ids.
+    With remove_target set, the target edge (when present) is masked: the
+    walk and the adjacency lists skip it, which gives the same subgraph as
+    extracting from `g.without_edge(u, v)` without copying g. Known links
+    are so represented the same way candidate links are. Both endpoints are
+    always included, even when isolated. Node order is canonical: u, v, then
+    ascending original ids.
     """
     u, v = canonical_pair(*pair)
     if v >= g.n:
         raise ConfigError(f"pair {pair} out of range for graph with n={g.n}")
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius}")
-    view = g.without_edge(u, v) if remove_target else g
+    masked = {u: v, v: u} if remove_target else {}
+
+    def neighbors(x):
+        row = g.neighbors(x).tolist()
+        other = masked.get(x)
+        return row if other is None else [w for w in row if w != other]
+
     rng = derive_rng(seed, "hop-cap", u, v) if max_per_hop is not None else None
-    du = _bounded_bfs(view, u, radius, max_per_hop, rng)
-    dv = _bounded_bfs(view, v, radius, max_per_hop, rng)
+    du = _bounded_bfs(neighbors, u, radius, max_per_hop, rng)
+    dv = _bounded_bfs(neighbors, v, radius, max_per_hop, rng)
     members = (du.keys() | dv.keys()) - {u, v}
     nodes = [u, v] + sorted(members)
     local = {orig: i for i, orig in enumerate(nodes)}
     adj = tuple(
-        tuple(sorted(local[int(w)] for w in view.neighbors(orig) if int(w) in local))
+        tuple(sorted(local[w] for w in neighbors(orig) if w in local))
         for orig in nodes
     )
     return LabeledSubgraph(nodes=tuple(nodes), adj=adj, radius=radius)

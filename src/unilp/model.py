@@ -14,6 +14,7 @@ conditioned on examples, which makes it the plain supervised baseline.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +35,10 @@ class ModelConfig:
 
     hidden_dim is the subgraph embedding width, attention_dim the key/value
     width (must be divisible by heads), embed_dim the label embedding width.
+    radius and max_per_hop shape every subgraph the model sees: with a cap,
+    each BFS hop keeps at most max_per_hop new nodes, drawn from a stream
+    seeded by the pair alone, so training, validation and scoring extract
+    the same subgraph for the same pair.
     """
 
     hidden_dim: int = 32
@@ -48,6 +53,7 @@ class ModelConfig:
     dist_cap: int = 20
     leaky_slope: float = 0.01
     mode: str = MODE_ICL
+    max_per_hop: int = None
 
     def __post_init__(self):
         dims = (
@@ -68,10 +74,18 @@ class ModelConfig:
             )
         if self.mode not in (MODE_ICL, MODE_NO_CONTEXT):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.max_per_hop is not None and int(self.max_per_hop) < 1:
+            raise ConfigError(f"max_per_hop must be >= 1 or None, got {self.max_per_hop}")
 
     @property
     def vocab(self) -> LabelVocab:
         return LabelVocab(drnl_cap=self.drnl_cap, dist_cap=self.dist_cap)
+
+    @property
+    def extraction(self) -> dict:
+        """Keyword arguments of LinkDataset.subgraph and build_context: how
+        every query and context link is extracted."""
+        return {"radius": self.radius, "max_per_hop": self.max_per_hop}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -148,39 +162,42 @@ def init_params(config: ModelConfig, seed: int) -> dict:
 
 def _assemble_batch(subs, vocab: LabelVocab):
     """Stack subgraphs into one disjoint block: label indices, the constant
-    neighbor-mean operator, and the constant per-subgraph mean-pool operator."""
+    neighbor-mean operator, and the constant per-subgraph mean-pool operator.
+
+    Built from the subgraphs' flat forms with array operations; row i of the
+    neighbor-mean operator holds 1/deg(i) at each neighbor's column (isolated
+    nodes keep an all-zero row), row s of the pool operator 1/n_s at each
+    node of subgraph s."""
     if not subs:
         raise ConfigError("cannot encode an empty list of subgraphs")
-    idx = []
-    a_r, a_c, a_d = [], [], []
-    p_r, p_c, p_d = [], [], []
-    offset = 0
-    for s, sub in enumerate(subs):
-        if sub.labels is None:
-            raise ConfigError("subgraph must be labeled before encoding")
-        idx.extend(vocab.index(t) for t in sub.labels)
-        for i in range(sub.n):
-            nbrs = sub.adj[i]
-            if nbrs:  # isolated nodes keep an all-zero row (zero neighbor mean)
-                w = 1.0 / len(nbrs)
-                for j in nbrs:
-                    a_r.append(offset + i)
-                    a_c.append(offset + j)
-                    a_d.append(w)
-            p_r.append(s)
-            p_c.append(offset + i)
-            p_d.append(1.0 / sub.n)
-        offset += sub.n
-    total = offset
-    agg = sp.csr_matrix((a_d, (a_r, a_c)), shape=(total, total))
-    pool = sp.csr_matrix((p_d, (p_r, p_c)), shape=(len(subs), total))
-    return np.array(idx, dtype=np.int64), agg, pool
+    if any(sub.labels is None for sub in subs):
+        raise ConfigError("subgraph must be labeled before encoding")
+    sizes = np.fromiter((sub.n for sub in subs), dtype=np.int64, count=len(subs))
+    total = int(sizes.sum())
+
+    def flat(slot, count):
+        return np.fromiter(chain.from_iterable(sub.flat[slot] for sub in subs), dtype=np.int64,
+                           count=count)
+
+    idx = vocab.indices(flat(0, total), flat(1, total))
+    deg = flat(2, total)
+    n_cols = int(deg.sum())
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols = flat(3, n_cols) + np.repeat(offsets, deg)
+    weights = np.repeat(1.0 / np.maximum(deg, 1), deg)  # isolated rows repeat 0 times
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    agg = sp.csr_matrix((weights, cols, indptr), shape=(total, total))
+    pool = sp.csr_matrix(
+        (np.repeat(1.0 / sizes, sizes), np.arange(total), np.concatenate(([0], np.cumsum(sizes)))),
+        shape=(len(subs), total),
+    )
+    return idx, agg, pool
 
 
 def encode_subgraphs(params: dict, config: ModelConfig, subs, tape: Tape) -> Tensor:
     """Encode a list of labeled subgraphs; returns an (len(subs), F) tensor."""
     idx, agg, pool = _assemble_batch(subs, config.vocab)
-    h = tape.embed_lookup(params["embed.table"], idx)
+    h = tape.take_rows(params["embed.table"], idx)
     for layer in range(config.encoder_layers):
         own = tape.matmul(h, params[f"enc.{layer}.self"])
         nbr = tape.matmul(tape.spmm(agg, h), params[f"enc.{layer}.neigh"])
@@ -303,7 +320,7 @@ def forward(
     """
     tape = tape if tape is not None else Tape()
     if query_sub is None:
-        query_sub = labeled_subgraph(g, query, config.radius, remove_target=True)
+        query_sub = labeled_subgraph(g, query, remove_target=True, **config.extraction)
     return _predict_from_subgraphs(params, config, query_sub, context, tape)
 
 
@@ -377,7 +394,7 @@ def model_gradient_check(seed: int, config: ModelConfig = GRADCHECK_CONFIG, h: f
     query = edges[0]
     positives = edges[1:3]
     negatives = sample_nonedges(g, 2, seed)
-    make = lambda pair: labeled_subgraph(g, pair, config.radius, remove_target=True)
+    make = lambda pair: labeled_subgraph(g, pair, remove_target=True, **config.extraction)
     query_sub = make(query)
     context = None
     if config.mode == MODE_ICL:

@@ -99,7 +99,6 @@ class TrainConfig:
     patience: int = 10
     per_graph_cap: int = 2000
     hits_k: int = 50
-    max_per_hop: int = None
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
@@ -152,20 +151,23 @@ def sample_context_pairs(g: Graph, n_pos: int, n_neg: int, seed: int, exclude=No
     query) and n_neg non-edges avoiding `forbidden` and the query."""
     if n_pos < 0 or n_neg < 0 or n_pos + n_neg == 0:
         raise ConfigError(f"context needs at least one member, got ({n_pos}, {n_neg})")
-    edges = [tuple(e) for e in g.edge_array().tolist()]
+    edges, codes = g.edge_array(), g.edge_codes()
+    skip = len(edges)  # position of the query among the edges, if it is one
     if exclude is not None:
         exclude = (min(exclude), max(exclude))
-        edges = [e for e in edges if e != exclude]
-    if n_pos > len(edges):
-        raise DataError(f"context wants {n_pos} positives, graph offers {len(edges)}")
-    rng = derive_rng(seed, "context-pos")
-    picks = rng.choice(len(edges), size=n_pos, replace=False) if n_pos else []
-    pos_pairs = [edges[i] for i in picks]
-    avoid = set(forbidden)
-    if exclude is not None:
-        avoid.add(exclude)
+        code = exclude[0] * g.n + exclude[1]
+        i = int(np.searchsorted(codes, code))
+        if i < len(codes) and codes[i] == code:
+            skip = i
+    n_edges = len(edges) - (skip < len(edges))
+    if n_pos > n_edges:
+        raise DataError(f"context wants {n_pos} positives, graph offers {n_edges}")
+    picks = derive_rng(seed, "context-pos").choice(n_edges, size=n_pos, replace=False)
+    # picks index the edge list with the query taken out
+    pos_pairs = list(map(tuple, edges[picks + (picks >= skip)].tolist()))
     neg_pairs = (
-        sample_nonedges(g, n_neg, derive_seed_int(seed, "context-neg"), exclude=avoid)
+        sample_nonedges(g, n_neg, derive_seed_int(seed, "context-neg"), exclude=forbidden,
+                        query=exclude)
         if n_neg
         else []
     )
@@ -233,8 +235,7 @@ def _epoch_queries(pools, cap, seed, epoch):
     return queries
 
 
-def eval_context_for(ds: LinkDataset, model_config: ModelConfig, size: int, seed: int,
-                     max_per_hop=None) -> ContextSet:
+def eval_context_for(ds: LinkDataset, model_config: ModelConfig, size: int, seed: int) -> ContextSet:
     """Inference-time context: `size` per side, clipped to graph capacity."""
     cap_pos = ds.observed.edge_count
     n_free = ds.observed.n * (ds.observed.n - 1) // 2 - len(ds.full_edges)
@@ -243,8 +244,7 @@ def eval_context_for(ds: LinkDataset, model_config: ModelConfig, size: int, seed
     pos_pairs, neg_pairs = sample_context_pairs(
         ds.observed, n_pos, n_neg, seed, forbidden=ds.full_edges
     )
-    return build_context(ds, pos_pairs, neg_pairs, model_config.radius,
-                         max_per_hop=max_per_hop, seed=seed)
+    return build_context(ds, pos_pairs, neg_pairs, **model_config.extraction)
 
 
 def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_config: TrainConfig):
@@ -272,7 +272,7 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
         for ds in val_datasets:
             val_contexts[ds.name] = eval_context_for(
                 ds, model_config, train_config.eval_context_size,
-                derive_seed_int(seed, "val-ctx", ds.name), train_config.max_per_hop,
+                derive_seed_int(seed, "val-ctx", ds.name),
             )
     record = TrainRecord()
     best_params = clone_params(params)
@@ -290,7 +290,7 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
                     items = []
                     for ds_index, pair, label in batch:
                         ds = train_datasets[ds_index]
-                        sub = ds.subgraph(pair, model_config.radius, train_config.max_per_hop, seed)
+                        sub = ds.subgraph(pair, **model_config.extraction)
                         context = None
                         if model_config.mode == MODE_ICL:
                             pos_pairs, neg_pairs = sample_context_pairs(
@@ -298,8 +298,8 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
                                 derive_seed_int(seed, "ctx", epoch, counter),
                                 exclude=pair, forbidden=ds.full_edges,
                             )
-                            context = build_context(ds, pos_pairs, neg_pairs, model_config.radius,
-                                                    max_per_hop=train_config.max_per_hop, seed=seed)
+                            context = build_context(ds, pos_pairs, neg_pairs,
+                                                    **model_config.extraction)
                         counter += 1
                         items.append((sub, context, label))
                     tape = Tape()
@@ -383,10 +383,8 @@ def finetune(params: dict, dataset: LinkDataset, n_links: int, steps: int,
                     derive_seed_int(seed, "finetune-ctx", step_index, int(i)),
                     exclude=pair, forbidden=dataset.full_edges,
                 )
-                context = build_context(dataset, pos_pairs, neg_pairs, model_config.radius,
-                                        max_per_hop=train_config.max_per_hop, seed=seed)
-            items.append((dataset.subgraph(pair, model_config.radius,
-                                           train_config.max_per_hop, seed), context, label))
+                context = build_context(dataset, pos_pairs, neg_pairs, **model_config.extraction)
+            items.append((dataset.subgraph(pair, **model_config.extraction), context, label))
         tape = Tape()
         loss = batch_loss(new_params, model_config, items, tape)
         tape.backward(loss)

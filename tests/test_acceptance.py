@@ -50,6 +50,9 @@ from unilp.training import (
     transfer_probe,
 )
 
+# the whole gate takes minutes; `pytest -m "not acceptance"` runs the rest
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"

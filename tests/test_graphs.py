@@ -295,6 +295,56 @@ def test_sample_nonedges_exhausts_capacity_exactly():
         sample_nonedges(tri, 4, seed=0)
 
 
+def reference_sample_nonedges(g, count, seed, exclude=()):
+    """The list-comprehension pool, rebuilt on every call: the definition the
+    cached pool must reproduce draw for draw."""
+    edge_set = g.edge_set()
+    excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
+    capacity = g.n * (g.n - 1) // 2 - g.edge_count - len(excluded)
+    if count > capacity:
+        raise DataError("over capacity")
+    forbidden = edge_set | excluded
+    pool = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in forbidden]
+    picks = derive_rng(seed, "nonedges", count).choice(len(pool), size=count, replace=False)
+    return [pool[i] for i in picks]
+
+
+def test_sample_nonedges_matches_reference_pool_cold_and_warm():
+    graphs = [
+        lambda: lattice("grid", 5, 5, torus=True),
+        lambda: lattice("triangular", 4, 6),
+        lambda: random_graph(23, 0.2, seed=4),
+    ]
+    for make in graphs:
+        g = make()
+        edges = [tuple(e) for e in g.edge_array().tolist()]
+        nonedges = reference_sample_nonedges(g, 12, seed=99)
+        excludes = [(), frozenset(edges[:7] + nonedges[:5]), [list(p[::-1]) for p in nonedges[5:9]]]
+        queries = [None, edges[3], nonedges[0], nonedges[10][::-1]]
+        for exclude in excludes:
+            for query in queries:
+                avoid = set(map(tuple, exclude)) | ({query} if query else set())
+                for seed in range(3):
+                    for count in (1, 9):
+                        want = reference_sample_nonedges(g, count, seed, avoid)
+                        cold = sample_nonedges(make(), count, seed, exclude=exclude, query=query)
+                        warm = sample_nonedges(g, count, seed, exclude=exclude, query=query)
+                        assert cold == warm == want, (exclude, query, seed, count)
+        assert len(g._nonedge_pools) <= 4
+
+
+def test_sample_nonedges_capacity_counts_the_query():
+    tri = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert sorted(sample_nonedges(tri, 2, seed=0, query=(3, 1))) == [(0, 3), (2, 3)]
+    with pytest.raises(DataError):
+        sample_nonedges(tri, 3, seed=0, query=(1, 3))
+    # an edge or an excluded pair as the query costs no capacity
+    assert len(sample_nonedges(tri, 3, seed=0, query=(0, 1))) == 3
+    assert len(sample_nonedges(tri, 2, seed=0, exclude={(0, 3)}, query=(0, 3))) == 2
+    with pytest.raises(ConfigError):
+        sample_nonedges(tri, 1, seed=0, query=(0, 4))
+
+
 # ---------------------------------------------------------------------------
 # splits
 

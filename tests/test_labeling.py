@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError
-from unilp.graphs import Graph, LatticeSpec, generate_lattice
+from unilp.graphs import Graph, LatticeSpec, SbmSpec, generate_lattice, generate_sbm
 from unilp.labeling import (
     LabelVocab,
     drnl,
@@ -130,6 +130,42 @@ def test_extract_validates_arguments():
         extract_ego_subgraph(g, (0, 99), radius=1)
     with pytest.raises(ConfigError):
         extract_ego_subgraph(g, (0, 1), radius=0)
+
+
+def test_masked_extraction_matches_the_without_edge_view():
+    graphs = [
+        generate_sbm(SbmSpec(block_sizes=(8, 6), p_in=0.5, p_out=0.1), seed=2),
+        generate_lattice(LatticeSpec(kind="triangular", rows=6, cols=6, torus=True)),
+    ]
+    for g in graphs:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                for radius in (1, 2):
+                    for cap in (None, 2):
+                        got = labeled_subgraph(g, (u, v), radius, max_per_hop=cap, seed=u)
+                        want = labeled_subgraph(g.without_edge(u, v), (u, v), radius,
+                                                remove_target=False, max_per_hop=cap, seed=u)
+                        assert got == want, (u, v, radius, cap)
+
+
+def test_flat_form_mirrors_labels_and_adjacency():
+    g = random_graph(14, 0.3, seed=5)
+    for pair in ((0, 1), (2, 9), (3, 13)):
+        sub = labeled_subgraph(g, pair, radius=2)
+        slot_a, slot_b, degrees, columns = sub.flat
+        assert tuple(zip(slot_a, slot_b)) == sub.labels
+        assert degrees == tuple(len(row) for row in sub.adj)
+        assert columns == tuple(j for row in sub.adj for j in row)
+    assert extract_ego_subgraph(g, (0, 1), radius=1).flat is None
+
+
+def test_vocab_indices_match_index_and_reject_malformed_labels():
+    vocab = LabelVocab(drnl_cap=3, dist_cap=2)
+    labels = [(1, 0), (3, 0), (7, 0), (0, 0), (0, 2), (0, 9)]
+    a, b = (np.array(slot) for slot in zip(*labels))
+    assert vocab.indices(a, b).tolist() == [vocab.index(t) for t in labels]
+    with pytest.raises(ConfigError, match=r"\(2, 1\)"):
+        vocab.indices(np.array([1, 2]), np.array([0, 1]))
 
 
 def test_local_edges_are_consistent_with_adj():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from unilp.autodiff import Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.labeling import labeled_subgraph
+from unilp.labeling import LabeledSubgraph, LabelVocab, labeled_subgraph
 from unilp.model import (
     ContextSet,
+    _assemble_batch,
     GRADCHECK_CONFIG,
     ModelConfig,
     attention_scores,
@@ -114,6 +116,59 @@ def test_batched_encoding_matches_and_is_row_independent(params, dataset):
     hp = encode_subgraphs(params, SMALL, [subs[i] for i in perm], tape).values
     for k, i in enumerate(perm):
         assert np.array_equal(hp[k], batch[i])
+
+
+def reference_assemble_batch(subs, vocab):
+    """The per-node loop over labels and adjacency that _assemble_batch's
+    array form must reproduce exactly."""
+    idx, a_r, a_c, a_d, p_r, p_c, p_d = [], [], [], [], [], [], []
+    offset = 0
+    for s, sub in enumerate(subs):
+        idx.extend(vocab.index(t) for t in sub.labels)
+        for i in range(sub.n):
+            for j in sub.adj[i]:
+                a_r.append(offset + i)
+                a_c.append(offset + j)
+                a_d.append(1.0 / len(sub.adj[i]))
+            p_r.append(s)
+            p_c.append(offset + i)
+            p_d.append(1.0 / sub.n)
+        offset += sub.n
+    agg = sp.csr_matrix((a_d, (a_r, a_c)), shape=(offset, offset))
+    pool = sp.csr_matrix((p_d, (p_r, p_c)), shape=(len(subs), offset))
+    return np.array(idx, dtype=np.int64), agg, pool
+
+
+def test_assemble_batch_matches_per_node_loop(dataset):
+    isolated = labeled_subgraph(Graph.from_edges(4, [(0, 1), (2, 3)]), (0, 1), radius=1)
+    path = Graph.from_edges(12, [(i, i + 1) for i in range(11)])
+    deep = labeled_subgraph(path, (0, 11), radius=4)  # one-sided distances up to 4
+    wide = labeled_subgraph(triangular(), (0, 27), radius=3)  # drnl labels up to 10
+    ctx = sample_context(dataset, 5, seed=3)
+    members = list(ctx.positives) + list(ctx.negatives)
+    batches = [[isolated], [deep], [wide], [isolated, deep, wide] + members, members[:1]]
+    for vocab in (LabelVocab(), LabelVocab(drnl_cap=3, dist_cap=2)):
+        for subs in batches:
+            want_idx, want_agg, want_pool = reference_assemble_batch(subs, vocab)
+            idx, agg, pool = _assemble_batch(subs, vocab)
+            assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+            for got, want in ((agg, want_agg), (pool, want_pool)):
+                assert got.shape == want.shape
+                for part in ("indptr", "indices", "data"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), part
+    assert max(wide.labels)[0] > 3 and max(deep.labels, key=lambda t: t[1])[1] > 2
+
+
+def test_assemble_batch_rejects_unlabeled_and_malformed(dataset):
+    sub = sample_context(dataset, 1, seed=0).positives[0]
+    with pytest.raises(ConfigError):
+        _assemble_batch([], LabelVocab())
+    with pytest.raises(ConfigError):
+        _assemble_batch([sub, LabeledSubgraph(nodes=sub.nodes, adj=sub.adj, radius=1)], LabelVocab())
+    bad = sub.with_labels([(1, 1)] + list(sub.labels[1:]))
+    with pytest.raises(ConfigError, match="malformed label"):
+        _assemble_batch([sub, bad], LabelVocab())
 
 
 def test_isolated_targets_encode_without_error(params):

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError, DataError
-from unilp.evaluation import hits_at_k, score_pairs
-from unilp.graphs import Graph, LatticeSpec, derive_seed_int, generate_lattice
+from unilp.evaluation import RANDOM_CONTEXT, SCORE_CHUNK, evaluate_model, hits_at_k, score_pairs
+from unilp.graphs import (
+    Graph,
+    LatticeSpec,
+    SbmSpec,
+    derive_seed_int,
+    generate_lattice,
+    generate_sbm,
+    sample_nonedges,
+    split_edges,
+)
+from unilp.labeling import labeled_subgraph
 from unilp.model import MODE_ICL, MODE_NO_CONTEXT, ModelConfig, init_params
+from unilp.rng import derive_rng
 from unilp.training import (
     LinkDataset,
     TrainConfig,
@@ -92,6 +103,35 @@ def test_sample_context_pairs_determinism(tri_dataset):
     assert again[0] == again[1]
     other_seed = sample_context_pairs(g, 6, 6, 10, exclude=query)
     assert other_seed != again[0]
+
+
+def reference_context_pairs(g, n_pos, n_neg, seed, exclude=None, forbidden=()):
+    """Context sampling over a rebuilt Python edge list, with the query
+    added to the non-edge exclude set: what sample_context_pairs must
+    reproduce draw for draw."""
+    edges = [tuple(e) for e in g.edge_array().tolist()]
+    avoid = set(forbidden)
+    if exclude is not None:
+        exclude = (min(exclude), max(exclude))
+        edges = [e for e in edges if e != exclude]
+        avoid.add(exclude)
+    picks = derive_rng(seed, "context-pos").choice(len(edges), size=n_pos, replace=False)
+    negatives = sample_nonedges(g, n_neg, derive_seed_int(seed, "context-neg"), exclude=avoid)
+    return [edges[i] for i in picks], negatives
+
+
+def test_sample_context_pairs_matches_reference(tri_dataset):
+    g = tri_dataset.observed
+    edges = [tuple(e) for e in g.edge_array().tolist()]
+    nonedges = sample_nonedges(g, 3, seed=1)
+    queries = [None, edges[0], edges[-1], edges[7][::-1], nonedges[0], tri_dataset.split.valid_pos[0]]
+    for query in queries:
+        for forbidden in ((), tri_dataset.full_edges):
+            for seed in range(3):
+                got = sample_context_pairs(g, 6, 5, seed, exclude=query, forbidden=forbidden)
+                assert got == reference_context_pairs(g, 6, 5, seed, query, forbidden), (query, seed)
+    # every remaining edge can still be drawn when the query is one
+    assert len(sample_context_pairs(g, len(edges) - 1, 1, 0, exclude=edges[4])[0]) == len(edges) - 1
 
 
 def test_sample_context_pairs_validation(tri_dataset):
@@ -230,6 +270,62 @@ def test_pretrain_is_deterministic_per_seed():
     assert any(
         not np.array_equal(params_a[key].values, params_c[key].values) for key in params_a
     )
+
+
+def test_pretrain_on_warm_datasets_matches_fresh_ones():
+    split = LinkDataset.from_graph("tri", lattice(rows=5, cols=5), seed=1).split
+    tc = TrainConfig(seed=2, max_epochs=2, patience=2, batch_size=6, per_graph_cap=30,
+                     context_k=3, eval_context_size=5, hits_k=2)
+    warm = LinkDataset(name="tri", split=split)
+    pretrain([warm], [warm], SMALL_ICL, replace(tc, seed=7))  # fills the caches
+    assert warm._subgraphs and warm.observed._nonedge_pools
+    fresh = LinkDataset(name="tri", split=split)
+    params_warm, record_warm = pretrain([warm], [warm], SMALL_ICL, tc)
+    params_fresh, record_fresh = pretrain([fresh], [fresh], SMALL_ICL, tc)
+    assert record_warm.epochs == record_fresh.epochs
+    for key in params_fresh:
+        assert np.array_equal(params_warm[key].values, params_fresh[key].values), key
+
+
+HOP_CAPPED = replace(SMALL_ICL, max_per_hop=2)
+
+
+def test_hop_cap_is_shared_by_training_validation_eval_and_workers(monkeypatch):
+    assert ModelConfig.from_dict(HOP_CAPPED.to_dict()) == HOP_CAPPED
+    legacy = {k: v for k, v in SMALL_ICL.to_dict().items() if k != "max_per_hop"}
+    assert ModelConfig.from_dict(legacy) == SMALL_ICL  # checkpoints without the fields load
+    split = split_edges(generate_sbm(SbmSpec(block_sizes=(12, 12), p_in=0.5, p_out=0.1), seed=1),
+                        (0.7, 0.1, 0.2), seed=0)
+    seen = {}  # dataset name -> {pair: (graph, extracted subgraph)}
+    original = LinkDataset.subgraph
+
+    def spy(self, pair, *args, **kwargs):
+        sub = original(self, pair, *args, **kwargs)
+        seen.setdefault(self.name, {})[tuple(pair)] = (self.observed, sub)
+        return sub
+
+    monkeypatch.setattr(LinkDataset, "subgraph", spy)
+    train_ds, val_ds, eval_ds = (LinkDataset(name=name, split=split) for name in ("train", "val", "eval"))
+    tc = TrainConfig(seed=0, max_epochs=1, batch_size=8, per_graph_cap=24, context_k=3,
+                     eval_context_size=6, hits_k=2)
+    params, _ = pretrain([train_ds], [val_ds], HOP_CAPPED, tc)
+    evaluate_model(params, HOP_CAPPED, eval_ds, context_size=8, seeds=(0,), hits_k=2)
+    evaluate_model(params, HOP_CAPPED, eval_ds, context_size=8, seeds=(0,), hits_k=2,
+                   perturb=RANDOM_CONTEXT)
+    assert set(seen) == {"train", "val", "eval", "random-context"}
+    capped_differs = False
+    for name, subs in seen.items():
+        for pair, (graph, sub) in subs.items():
+            assert sub == labeled_subgraph(graph, pair, 1, max_per_hop=2), (name, pair)
+            capped_differs |= sub != labeled_subgraph(graph, pair, 1)
+    assert capped_differs  # the cap bites on this graph
+    ctx = eval_context_for(eval_ds, HOP_CAPPED, 6, seed=3)
+    pairs = list(split.test_pos) + list(split.test_neg) + list(split.observed)
+    assert len(pairs) > SCORE_CHUNK  # so that jobs=2 starts two workers
+    serial = score_pairs(params, HOP_CAPPED, eval_ds, pairs, ctx, jobs=1)
+    assert np.array_equal(score_pairs(params, HOP_CAPPED, eval_ds, pairs, ctx, jobs=2), serial)
+    uncapped = replace(HOP_CAPPED, max_per_hop=None)
+    assert not np.array_equal(score_pairs(params, uncapped, eval_ds, pairs, ctx), serial)
 
 
 def test_pretrain_early_stopping_tracks_best_epoch(tri_dataset):
