@@ -9,6 +9,14 @@ checked for finiteness so numeric blowups surface at their source.
 Constant matrices that never need gradients (neighbor-averaging and pooling
 operators) enter through `spmm` as scipy CSR matrices; everything
 differentiable is dense numpy.
+
+The model runs a whole batch of queries through one sequence of ops, so
+`matmul`, `add`, `concat`, `dot_rows`, `softmax`, `slice_last` and `bce`
+also take stacked (N-D) operands, broadcasting leading axes the way numpy
+does, and `transpose` permutes axes. Stacked matmuls call the same BLAS
+routine per stack entry as the 1-D/2-D form would, and reductions run over
+a C-contiguous last axis, so a batched forward pass reproduces the
+per-query values bit for bit.
 """
 
 from __future__ import annotations
@@ -66,8 +74,25 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if g.shape != t.values.shape:
         raise ConfigError(f"gradient shape {g.shape} != value shape {t.values.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+    else:
+        t.grad += g
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum a broadcast gradient back down to an operand's shape."""
+    shape = tuple(shape)
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _broadcast_shape(op: str, *shapes) -> tuple:
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ConfigError(f"{op} shapes incompatible: {' and '.join(map(str, shapes))}")
 
 
 class Tape:
@@ -108,14 +133,37 @@ class Tape:
     # -- ops ----------------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
+        """Matrix product with numpy semantics for 1-D and 2-D operands.
+
+        Operands of 3 or more dimensions are stacks of matrices (leading
+        axes broadcast, a 2-D operand is shared by every stack entry); each
+        entry is one BLAS call, the same one its 2-D form would make.
+        """
         av, bv = a.values, b.values
-        if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
-            raise ConfigError(f"matmul supports 1-D/2-D operands, got {av.shape} @ {bv.shape}")
-        if av.shape[-1] != bv.shape[0]:
+        if av.ndim == 0 or bv.ndim == 0:
+            raise ConfigError(f"matmul needs at least 1-D operands, got {av.shape} @ {bv.shape}")
+        inner = bv.shape[0] if bv.ndim == 1 else bv.shape[-2]
+        if av.shape[-1] != inner:
             raise ConfigError(f"matmul inner dims differ: {av.shape} @ {bv.shape}")
+        stacked = max(av.ndim, bv.ndim) > 2
+        if stacked:
+            if min(av.ndim, bv.ndim) < 2:
+                raise ConfigError(f"stacked matmul needs matrix operands, got {av.shape} @ {bv.shape}")
+            _broadcast_shape("matmul", av.shape[:-2], bv.shape[:-2])
 
         def pull(g):
-            if av.ndim == 2 and bv.ndim == 2:
+            if stacked and bv.ndim == 2:
+                # a matrix shared by the whole stack: one gemm per gradient
+                if a._needs:
+                    _accumulate(a, (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape))
+                if b._needs:
+                    _accumulate(b, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            elif stacked:
+                if a._needs:
+                    _accumulate(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+                if b._needs:
+                    _accumulate(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+            elif av.ndim == 2 and bv.ndim == 2:
                 if a._needs:
                     _accumulate(a, g @ bv.T)
                 if b._needs:
@@ -139,22 +187,16 @@ class Tape:
         return self._emit(av @ bv, (a, b), pull, "matmul")
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
+        """Elementwise sum; the operands broadcast the way numpy's do."""
         av, bv = a.values, b.values
-        if av.shape == bv.shape:
-            def pull(g):
-                if a._needs:
-                    _accumulate(a, g)
-                if b._needs:
-                    _accumulate(b, g)
-        elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-            # matrix plus row vector, broadcast down the rows
-            def pull(g):
-                if a._needs:
-                    _accumulate(a, g)
-                if b._needs:
-                    _accumulate(b, g.sum(axis=0))
-        else:
-            raise ConfigError(f"add shapes incompatible: {av.shape} + {bv.shape}")
+        _broadcast_shape("add", av.shape, bv.shape)
+
+        def pull(g):
+            if a._needs:
+                _accumulate(a, _unbroadcast(g, av.shape))
+            if b._needs:
+                _accumulate(b, _unbroadcast(g, bv.shape))
+
         return self._emit(av + bv, (a, b), pull, "add")
 
     def scale(self, a: Tensor, c: float) -> Tensor:
@@ -167,31 +209,25 @@ class Tape:
         return self._emit(a.values * c, (a,), pull, "scale")
 
     def concat(self, a: Tensor, b: Tensor) -> Tensor:
-        """Concatenate along the last axis (vectors or matrices)."""
+        """Concatenate along the last axis; leading axes broadcast, so a
+        (B, 1, F) block against an (m, F) one gives (B, m, 2F)."""
         av, bv = a.values, b.values
-        if av.ndim != bv.ndim or av.ndim not in (1, 2):
-            raise ConfigError(f"concat shapes incompatible: {av.shape} ++ {bv.shape}")
-        if av.ndim == 2 and av.shape[0] != bv.shape[0]:
-            raise ConfigError(f"concat row counts differ: {av.shape} ++ {bv.shape}")
+        if av.ndim == 0 or bv.ndim == 0:
+            raise ConfigError(f"concat needs at least 1-D operands: {av.shape} ++ {bv.shape}")
+        lead = _broadcast_shape("concat", av.shape[:-1], bv.shape[:-1])
         split = av.shape[-1]
 
         def pull(g):
             if a._needs:
-                _accumulate(a, g[..., :split])
+                _accumulate(a, _unbroadcast(g[..., :split], av.shape))
             if b._needs:
-                _accumulate(b, g[..., split:])
+                _accumulate(b, _unbroadcast(g[..., split:], bv.shape))
 
-        return self._emit(np.concatenate([av, bv], axis=-1), (a, b), pull, "concat")
-
-    def tile_rows(self, v: Tensor, m: int) -> Tensor:
-        if v.values.ndim != 1:
-            raise ConfigError(f"tile_rows expects a vector, got shape {v.shape}")
-
-        def pull(g):
-            if v._needs:
-                _accumulate(v, g.sum(axis=0))
-
-        return self._emit(np.tile(v.values, (int(m), 1)), (v,), pull, "tile_rows")
+        out = np.concatenate(
+            [np.broadcast_to(av, lead + av.shape[-1:]), np.broadcast_to(bv, lead + bv.shape[-1:])],
+            axis=-1,
+        )
+        return self._emit(out, (a, b), pull, "concat")
 
     def leaky_relu(self, x: Tensor, slope: float = 0.01) -> Tensor:
         xv = x.values
@@ -218,22 +254,26 @@ class Tape:
         return self._emit(out, (x,), pull, "sigmoid")
 
     def softmax(self, x: Tensor) -> Tensor:
-        if x.values.ndim != 1 or x.values.size == 0:
-            raise ConfigError(f"softmax expects a non-empty vector, got shape {x.shape}")
-        shifted = x.values - x.values.max()
-        e = np.exp(shifted)
+        """Softmax over the last axis (every row of a stacked input)."""
+        if x.values.ndim == 0 or x.values.shape[-1] == 0:
+            raise ConfigError(f"softmax expects a non-empty last axis, got shape {x.shape}")
+        # sorting and summing along a C-contiguous last axis gives every row
+        # the summation order of the 1-D case
+        xv = np.ascontiguousarray(x.values)
+        e = np.exp(xv - xv.max(axis=-1, keepdims=True))
         # canonical (sorted) summation: permuting the inputs permutes the
         # outputs bit-exactly, which downstream invariance checks rely on
-        out = e / np.sort(e).sum()
+        out = e / np.sort(e, axis=-1).sum(axis=-1, keepdims=True)
 
         def pull(g):
             if x._needs:
-                _accumulate(x, out * (g - float(g @ out)))
+                _accumulate(x, out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
         return self._emit(out, (x,), pull, "softmax")
 
     def dot_rows(self, x: Tensor, v: Tensor) -> Tensor:
-        """Per-row dot product, (m, k) . (k,) -> (m,).
+        """Dot product over the last axis, v broadcast against x's trailing
+        axes: (m, k) . (k,) -> (m,), or (B, m, H, k) . (H, k) -> (B, m, H).
 
         Unlike matmul this reduces every row with the same summation tree,
         so each output element depends only on its own row: permuting the
@@ -241,16 +281,29 @@ class Tape:
         not guarantee that).
         """
         xv, vv = x.values, v.values
-        if xv.ndim != 2 or vv.ndim != 1 or xv.shape[1] != vv.shape[0]:
+        if vv.ndim == 0 or xv.ndim < vv.ndim or xv.shape[xv.ndim - vv.ndim:] != vv.shape:
             raise ConfigError(f"dot_rows shapes incompatible: {xv.shape} . {vv.shape}")
 
         def pull(g):
             if x._needs:
-                _accumulate(x, g[:, None] * vv)
+                _accumulate(x, g[..., None] * vv)
             if v._needs:
-                _accumulate(v, xv.T @ g)
+                _accumulate(v, _unbroadcast(g[..., None] * xv, vv.shape))
 
         return self._emit((xv * vv).sum(axis=-1), (x, v), pull, "dot_rows")
+
+    def transpose(self, x: Tensor, axes) -> Tensor:
+        """Permute axes (a view; the gradient permutes back)."""
+        axes = tuple(int(a) for a in axes)
+        if sorted(axes) != list(range(x.values.ndim)):
+            raise ConfigError(f"transpose axes {axes} invalid for shape {x.shape}")
+        inverse = tuple(int(i) for i in np.argsort(axes))
+
+        def pull(g):
+            if x._needs:
+                _accumulate(x, g.transpose(inverse))
+
+        return self._emit(x.values.transpose(axes), (x,), pull, "transpose")
 
     def take_rows(self, x: Tensor, indices) -> Tensor:
         """Gather rows of a matrix; the gradient scatter-adds back."""
@@ -262,15 +315,17 @@ class Tape:
 
         def pull(g):
             if x._needs:
-                buf = np.zeros_like(x.values)
-                np.add.at(buf, idx, g)
-                _accumulate(x, buf)
+                # scatter-add as a sparse product: repeated rows sum in order
+                scatter = sp.csr_matrix(
+                    (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(x.values.shape[0], idx.size)
+                )
+                _accumulate(x, scatter @ g)
 
         return self._emit(x.values[idx], (x,), pull, "take_rows")
 
     def slice_last(self, x: Tensor, start: int, stop: int) -> Tensor:
-        if x.values.ndim not in (1, 2):
-            raise ConfigError(f"slice_last expects 1-D or 2-D input, got {x.shape}")
+        if x.values.ndim == 0:
+            raise ConfigError("slice_last expects at least 1-D input")
         width = x.values.shape[-1]
         if not 0 <= start < stop <= width:
             raise ConfigError(f"slice [{start}:{stop}] invalid for width {width}")
@@ -316,24 +371,34 @@ class Tape:
 
         return self._emit(np.clip(xv, lo, hi), (x,), pull, "clamp")
 
-    def bce(self, prediction: Tensor, label: float) -> Tensor:
-        """Binary cross-entropy of a single probability against label 0/1."""
-        if prediction.values.size != 1:
-            raise ConfigError(f"bce expects a scalar probability, got shape {prediction.shape}")
-        y = float(label)
-        if y not in (0.0, 1.0):
-            raise ConfigError(f"bce label must be 0 or 1, got {label}")
-        p = float(np.clip(prediction.values.reshape(()), PROB_EPS, 1.0 - PROB_EPS))
-        raw = float(prediction.values.reshape(()))
-        active = PROB_EPS < raw < 1.0 - PROB_EPS
+    def bce(self, prediction: Tensor, labels) -> Tensor:
+        """Mean binary cross-entropy of probabilities against 0/1 labels.
+
+        `labels` is one label for every probability, or one label per
+        probability in prediction.values.ravel() order. The per-item losses
+        are summed left to right, then scaled by 1/n.
+        """
+        p_raw = prediction.values.reshape(-1)
+        n = p_raw.size
+        if n == 0:
+            raise ConfigError("bce expects at least one probability")
+        y = np.asarray(labels, dtype=np.float64).reshape(-1)
+        if y.size not in (1, n):
+            raise ConfigError(f"bce got {y.size} labels for {n} probabilities")
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise ConfigError(f"bce labels must be 0 or 1, got {labels}")
+        p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
+        active = (PROB_EPS < p_raw) & (p_raw < 1.0 - PROB_EPS)
+        scale = 1.0 / n
 
         def pull(g):
             if prediction._needs:
-                dp = float(g.reshape(())) * (p - y) / (p * (1.0 - p)) if active else 0.0
-                _accumulate(prediction, np.full_like(prediction.values, dp))
+                dp = np.where(active, float(g.reshape(())) * scale * (p - y) / (p * (1.0 - p)), 0.0)
+                _accumulate(prediction, dp.reshape(prediction.values.shape))
 
-        value = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-        return self._emit(np.array(value), (prediction,), pull, "bce")
+        losses = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        # cumsum adds strictly left to right
+        return self._emit(np.array(np.cumsum(losses)[-1] * scale), (prediction,), pull, "bce")
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,7 @@ from .graphs import (
     write_json_atomic,
     write_text_atomic,
 )
-from .model import (
-    MODE_NO_CONTEXT,
-    ContextSet,
-    ModelConfig,
-    attention_scores,
-    contextualize,
-    encode_subgraphs,
-    predict,
-)
+from .model import MODE_NO_CONTEXT, ContextSet, ModelConfig, encode_subgraphs, predict_batch
 from .autodiff import Tape, const
 
 #: Pairs scored per chunk; fixed so parallel and serial runs agree bit-for-bit.
@@ -217,18 +209,9 @@ def _encode_context_values(params, config, context):
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
     tape = Tape()
     subs = [dataset.subgraph(p, **config.extraction) for p in pairs]
-    h_all = encode_subgraphs(params, config, subs, tape)
+    h_query = encode_subgraphs(params, config, subs, tape)
     h_ctx = None if ctx_values is None else const(ctx_values)
-    scores = []
-    for i in range(len(pairs)):
-        h_q = tape.reshape(tape.take_rows(h_all, [i]), (config.hidden_dim,))
-        if h_ctx is None:
-            h_tilde = tape.matmul(h_q, params["attn.value"])
-        else:
-            alphas = attention_scores(params, config, h_q, h_ctx, tape)
-            h_tilde = contextualize(params, config, alphas, h_ctx, n_ctx_pos, tape)
-        scores.append(predict(params, config, h_tilde, tape).item())
-    return scores
+    return predict_batch(params, config, h_query, h_ctx, n_ctx_pos, tape).values.tolist()
 
 
 _WORKER_STATE = {}

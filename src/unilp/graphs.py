@@ -373,23 +373,34 @@ def is_bipartite(g: Graph) -> bool:
 #: and evaluation use one or two.
 NONEDGE_POOLS_PER_GRAPH = 4
 
+#: Graphs with up to this many node pairs draw non-edges from an array of
+#: every allowed pair; larger ones draw by rejection against a forbidden set.
+DENSE_PAIR_LIMIT = 200_000
+
 
 def _nonedge_pool(g: Graph, exclude) -> tuple:
-    """(codes, n_excluded): the sorted codes u*n+v of every pair u < v that
-    is neither an edge of g nor in exclude, and how many exclude pairs are
-    not edges. Cached on g per exclude set; a frozenset is its own key."""
+    """(pool, n_excluded), cached on g per exclude set (a frozenset is its
+    own key); n_excluded counts the exclude pairs that are not edges.
+
+    With at most DENSE_PAIR_LIMIT pairs, pool is the sorted array of codes
+    u*n+v of every pair u < v that is neither an edge of g nor excluded;
+    above it, pool is the frozenset of forbidden pairs (edges and excluded
+    pairs) that rejection sampling avoids."""
     key = exclude if isinstance(exclude, frozenset) else frozenset(map(tuple, exclude))
     entry = g._nonedge_pools.get(key)
     if entry is None:
         n = g.n
         edge_set = g.edge_set()
         excluded = {canonical_pair(u, v) for u, v in key} - edge_set
-        forbidden = [u * n + v for u, v in edge_set | excluded if v < n]
-        iu, iv = np.triu_indices(n, k=1)
-        # codes of all pairs ascend in lexicographic pair order
-        codes = np.setdiff1d(iu * n + iv, np.array(forbidden, dtype=np.int64), assume_unique=True)
-        codes.flags.writeable = False
-        entry = (codes, len(excluded))
+        if n * (n - 1) // 2 <= DENSE_PAIR_LIMIT:
+            forbidden = [u * n + v for u, v in edge_set | excluded if v < n]
+            iu, iv = np.triu_indices(n, k=1)
+            # codes of all pairs ascend in lexicographic pair order
+            pool = np.setdiff1d(iu * n + iv, np.array(forbidden, dtype=np.int64), assume_unique=True)
+            pool.flags.writeable = False
+        else:
+            pool = edge_set | excluded
+        entry = (pool, len(excluded))
         if len(g._nonedge_pools) >= NONEDGE_POOLS_PER_GRAPH:
             g._nonedge_pools.pop(next(iter(g._nonedge_pools)))
         g._nonedge_pools[key] = entry
@@ -399,47 +410,43 @@ def _nonedge_pool(g: Graph, exclude) -> tuple:
 def sample_nonedges(g: Graph, count: int, seed: int, exclude=(), query=None) -> list:
     """Uniform sample (without replacement) of node pairs that are neither
     edges of g nor members of exclude (nor the pair `query`, if given).
-    Deterministic per seed: the draw indexes the lexicographic list of
-    allowed pairs. That list is built once per (graph, exclude set) and
-    cached on g; the query is then removed by position."""
+    Deterministic per seed. Up to DENSE_PAIR_LIMIT pairs the draw indexes
+    the lexicographic list of allowed pairs; above it, pairs are drawn by
+    rejection. Either way the pool or forbidden set is built once per
+    (graph, exclude set) and cached on g; the query is handled per call."""
     count = int(count)
     if count < 0:
         raise ConfigError("count must be non-negative")
     if count == 0:
         return []
     n = g.n
-    total_pairs = n * (n - 1) // 2
-    pool = None
-    if total_pairs <= 200_000:
-        pool, n_excluded = _nonedge_pool(g, exclude)
-        if query is not None:
-            a, b = canonical_pair(*query)
-            if a < 0 or b >= n:
-                raise ConfigError(f"query {query} out of range for graph with n={n}")
+    pool, n_excluded = _nonedge_pool(g, exclude)
+    dense = n * (n - 1) // 2 <= DENSE_PAIR_LIMIT
+    taken = set()  # pairs rejection sampling must skip beyond the forbidden set
+    if query is not None:
+        a, b = canonical_pair(*query)
+        if a < 0 or b >= n:
+            raise ConfigError(f"query {query} out of range for graph with n={n}")
+        if dense:
             i = int(np.searchsorted(pool, a * n + b))
             if i < len(pool) and pool[i] == a * n + b:
                 pool = np.delete(pool, i)
                 n_excluded += 1
-    else:
-        if query is not None:
-            exclude = set(exclude) | {tuple(query)}
-        edge_set = g.edge_set()
-        excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
-        n_excluded = len(excluded)
-    capacity = total_pairs - g.edge_count - n_excluded
+        elif (a, b) not in pool:
+            taken.add((a, b))
+            n_excluded += 1
+    capacity = n * (n - 1) // 2 - g.edge_count - n_excluded
     if count > capacity:
         raise DataError(
             f"requested {count} non-edges but only {capacity} exist "
             f"(n={n}, edges={g.edge_count}, excluded={n_excluded})"
         )
     rng = derive_rng(seed, "nonedges", count)
-    if pool is not None:
+    if dense:
         picks = rng.choice(len(pool), size=count, replace=False)
         return [divmod(code, n) for code in pool[picks].tolist()]
-    forbidden = edge_set | excluded
     # sparse regime: rejection sampling
     out = []
-    chosen = set()
     attempts = 0
     limit = 200 * count + 10_000
     while len(out) < count:
@@ -451,9 +458,9 @@ def sample_nonedges(g: Graph, count: int, seed: int, exclude=(), query=None) -> 
         if u == v:
             continue
         pair = (u, v) if u < v else (v, u)
-        if pair in forbidden or pair in chosen:
+        if pair in pool or pair in taken:
             continue
-        chosen.add(pair)
+        taken.add(pair)
         out.append(pair)
     return out
 

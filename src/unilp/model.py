@@ -9,6 +9,15 @@ before the value projection. The contextualized query then passes through a
 small MLP to a probability. In "no_context" mode the value projection is
 applied to the query embedding directly and the MLP scores it; nothing is
 conditioned on examples, which makes it the plain supervised baseline.
+
+Training, scoring and the single-query `forward` share one batched path,
+`predict_batch`: B query embeddings (B, F) attend over a context block that
+is either (B, m, F), one context per query, or (m, F), shared by all
+queries. Attention, contextualization and the MLP each run once per batch,
+as stacked tensor ops whose every stack entry makes the same BLAS call and
+the same reduction a single query would, so a query's probability does not
+depend on the batch it is scored in. `batch_loss` encodes each distinct
+subgraph object of a batch once and gathers rows for repeats.
 """
 
 from __future__ import annotations
@@ -220,87 +229,158 @@ def attention_scores(params: dict, config: ModelConfig, h_query: Tensor, h_conte
     """Per-head softmax weights over all context members jointly.
 
     Scores depend only on the query and context embeddings, never on the
-    positive/negative designation of the members. Returns a list with one
-    (m,) tensor per head.
+    positive/negative designation of the members. h_query is (B, F) and
+    h_context (B, m, F) or (m, F) shared by every query; returns a
+    (B, heads, m) tensor. The single-query form, h_query (F,) with
+    h_context (m, F), returns a list with one (m,) tensor per head.
     """
-    if h_context.values.ndim != 2 or h_context.values.shape[0] == 0:
+    single = h_query.values.ndim == 1
+    if single:
+        h_query = tape.reshape(h_query, (1,) + h_query.shape)
+    ctx = h_context.values
+    if ctx.ndim not in (2, 3) or ctx.shape[-2] == 0:
         raise ConfigError("attention needs at least one context member")
-    m = h_context.values.shape[0]
-    keys_in = tape.concat(tape.tile_rows(h_query, m), h_context)
+    batch, width = h_query.shape[0], config.attention_dim // config.heads
+    if ctx.ndim == 3 and ctx.shape[0] != batch:
+        raise ConfigError(f"{batch} queries but {ctx.shape[0]} contexts")
+    m = ctx.shape[-2]
+    # each query's (m, 2F) key input is one gemm, as for a lone query
+    keys_in = tape.concat(tape.reshape(h_query, (batch, 1, h_query.shape[-1])), h_context)
     z = tape.leaky_relu(tape.matmul(keys_in, params["attn.key"]), config.leaky_slope)
-    width = config.attention_dim // config.heads
-    alphas = []
-    for head in range(config.heads):
-        lo, hi = head * width, (head + 1) * width
-        # dot_rows keeps each member's score independent of the others, so
-        # reordering the context permutes the weights bit-exactly
-        scores = tape.dot_rows(
-            tape.slice_last(z, lo, hi), tape.slice_last(params["attn.vec"], lo, hi)
-        )
-        alphas.append(tape.softmax(scores))
-    return alphas
+    # dot_rows keeps each member's score independent of the others, so
+    # reordering the context permutes the weights bit-exactly
+    scores = tape.dot_rows(
+        tape.reshape(z, (batch, m, config.heads, width)),
+        tape.reshape(params["attn.vec"], (config.heads, width)),
+    )
+    alpha = tape.softmax(tape.transpose(scores, (0, 2, 1)))
+    if not single:
+        return alpha
+    flat = tape.reshape(alpha, (config.heads * m,))
+    return [tape.slice_last(flat, h * m, (h + 1) * m) for h in range(config.heads)]
 
 
 def contextualize(params: dict, config: ModelConfig, alphas, h_context: Tensor, n_pos: int, tape: Tape) -> Tensor:
     """Attention-weighted sum of value-projected context embeddings, with the
-    positive/negative label vector added to each member before projection."""
-    m = h_context.values.shape[0]
+    positive/negative label vector added to each member before projection.
+
+    alphas is attention_scores' (B, heads, m) output for the context
+    h_context, (B, m, F) or shared (m, F), whose first n_pos members are the
+    positives; returns (B, attention_dim). The single-query form (a per-head
+    list and an (m, F) context) returns an (attention_dim,) tensor.
+    """
+    single = isinstance(alphas, (list, tuple))
+    if single:
+        alpha = alphas[0]
+        for extra in alphas[1:]:
+            alpha = tape.concat(alpha, extra)
+        alphas = tape.reshape(alpha, (1, len(alphas), -1))
+    batch, heads, m = alphas.shape
     n_pos = int(n_pos)
     if not 0 <= n_pos <= m:
         raise ConfigError(f"n_pos={n_pos} out of range for context of size {m}")
-    values = []
-    if n_pos > 0:
-        rows = tape.take_rows(h_context, np.arange(n_pos))
-        values.append((0, n_pos, tape.matmul(tape.add(rows, params["label.pos"]), params["attn.value"])))
-    if n_pos < m:
-        rows = tape.take_rows(h_context, np.arange(n_pos, m))
-        values.append((n_pos, m, tape.matmul(tape.add(rows, params["label.neg"]), params["attn.value"])))
-    width = config.attention_dim // config.heads
-    head_outputs = []
-    for head, alpha in enumerate(alphas):
-        lo, hi = head * width, (head + 1) * width
-        part = None
-        for start, stop, projected in values:
-            term = tape.matmul(
-                tape.slice_last(alpha, start, stop), tape.slice_last(projected, lo, hi)
-            )
-            part = term if part is None else tape.add(part, term)
-        head_outputs.append(part)
-    out = head_outputs[0]
-    for extra in head_outputs[1:]:
-        out = tape.concat(out, extra)
-    return out
+    lead, dim = h_context.shape[:-2], h_context.shape[-1]
+    width = config.attention_dim // heads
+    k = len(lead)
+    if k:
+        flat = tape.reshape(h_context, (batch * m, dim))
+    out = None
+    for start, stop, label in ((0, n_pos, "label.pos"), (n_pos, m, "label.neg")):
+        n = stop - start
+        if n == 0:
+            continue
+        if k:
+            picks = (np.arange(batch)[:, None] * m + np.arange(start, stop)).ravel()
+            rows = tape.reshape(tape.take_rows(flat, picks), (batch, n, dim))
+        else:
+            rows = tape.take_rows(h_context, np.arange(start, stop))
+        projected = tape.matmul(tape.add(rows, params[label]), params["attn.value"])
+        # (n, heads, width) -> (heads, n, width) per context: every query and
+        # head is one (n,) @ (n, width) product over strided columns
+        values = tape.transpose(
+            tape.reshape(projected, lead + (n, heads, width)),
+            tuple(range(k)) + (k + 1, k, k + 2),
+        )
+        weights = tape.reshape(tape.slice_last(alphas, start, stop), (batch, heads, 1, n))
+        term = tape.matmul(weights, values)
+        out = term if out is None else tape.add(out, term)
+    return tape.reshape(out, (heads * width,) if single else (batch, heads * width))
 
 
 def predict(params: dict, config: ModelConfig, h_tilde: Tensor, tape: Tape) -> Tensor:
-    """MLP over the contextualized query, squashed to a probability in
-    (0, 1); shape (1,)."""
-    z = h_tilde
+    """MLP over contextualized queries, squashed to probabilities in (0, 1):
+    (B, attention_dim) -> (B,); a single (attention_dim,) query gives (1,)."""
+    batch = 1 if h_tilde.values.ndim == 1 else h_tilde.shape[0]
+    # (B, 1, K) stacks: each layer is one vector-matrix product per query
+    z = tape.reshape(h_tilde, (batch, 1, h_tilde.shape[-1]))
     for layer in range(config.mlp_layers):
         z = tape.add(tape.matmul(z, params[f"mlp.{layer}.w"]), params[f"mlp.{layer}.b"])
         if layer < config.mlp_layers - 1:
             z = tape.leaky_relu(z, config.leaky_slope)
-    return tape.clamp(tape.sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
+    return tape.reshape(tape.clamp(tape.sigmoid(z), PROB_EPS, 1.0 - PROB_EPS), (batch,))
+
+
+def predict_batch(params: dict, config: ModelConfig, h_query: Tensor, h_context, n_pos: int,
+                  tape: Tape) -> Tensor:
+    """Probabilities (B,) for query embeddings (B, F).
+
+    In icl mode the queries attend over h_context, (B, m, F) or (m, F)
+    shared, whose first n_pos members are positives. In no_context mode the
+    context is ignored and the value projection applies to each query.
+    """
+    if config.mode == MODE_NO_CONTEXT:
+        batch, dim = h_query.shape
+        projected = tape.matmul(tape.reshape(h_query, (batch, 1, dim)), params["attn.value"])
+        h_tilde = tape.reshape(projected, (batch, config.attention_dim))
+    else:
+        alphas = attention_scores(params, config, h_query, h_context, tape)
+        h_tilde = contextualize(params, config, alphas, h_context, n_pos, tape)
+    return predict(params, config, h_tilde, tape)
 
 
 # ---------------------------------------------------------------------------
 # full forward pass
 
 
-def _predict_from_subgraphs(params, config, query_sub, context, tape) -> Tensor:
-    if config.mode == MODE_NO_CONTEXT:
-        h_q = encode_subgraph(params, config, query_sub, tape)
-        h_tilde = tape.matmul(h_q, params["attn.value"])
-        return predict(params, config, h_tilde, tape)
-    if context is None or context.size == 0:
-        raise ConfigError("icl mode requires a non-empty context")
-    subs = [query_sub] + list(context.positives) + list(context.negatives)
+def _item_probabilities(params, config, pairs, tape) -> Tensor:
+    """Probabilities (B,) for (query_sub, context) pairs, in order.
+
+    Each distinct subgraph object is encoded once and its row gathered for
+    every use. Items are grouped by context shape (size, n_pos), and each
+    group runs through predict_batch once.
+    """
+    groups = {}  # (size, n_pos) -> (item positions, query subgraphs, context members)
+    for k, (query_sub, context) in enumerate(pairs):
+        if config.mode == MODE_ICL:
+            if context is None or context.size == 0:
+                raise ConfigError("icl mode requires a non-empty context")
+            key = (context.size, len(context.positives))
+        else:
+            key = (0, 0)
+        positions, queries, members = groups.setdefault(key, ([], [], []))
+        positions.append(k)
+        queries.append(query_sub)
+        if key[0]:
+            members.extend(context.positives)
+            members.extend(context.negatives)
+    unique = {id(sub): sub for _, queries, members in groups.values() for sub in chain(queries, members)}
+    rows = {key: i for i, key in enumerate(unique)}
+    subs = list(unique.values())
     h_all = encode_subgraphs(params, config, subs, tape)
-    h_q = tape.reshape(tape.take_rows(h_all, [0]), (config.hidden_dim,))
-    h_ctx = tape.take_rows(h_all, np.arange(1, len(subs)))
-    alphas = attention_scores(params, config, h_q, h_ctx, tape)
-    h_tilde = contextualize(params, config, alphas, h_ctx, len(context.positives), tape)
-    return predict(params, config, h_tilde, tape)
+    probs, order = None, []
+    for (size, n_pos), (positions, queries, members) in groups.items():
+        h_ctx = None
+        if size:
+            picks = [rows[id(sub)] for sub in members]
+            h_ctx = tape.reshape(tape.take_rows(h_all, picks), (len(queries), size, config.hidden_dim))
+        picks = [rows[id(sub)] for sub in queries]
+        p = predict_batch(params, config, tape.take_rows(h_all, picks), h_ctx, n_pos, tape)
+        probs = p if probs is None else tape.concat(probs, p)
+        order.extend(positions)
+    if len(groups) > 1:
+        back = np.argsort(order)
+        probs = tape.reshape(tape.take_rows(tape.reshape(probs, (len(order), 1)), back), (len(order),))
+    return probs
 
 
 def forward(
@@ -321,44 +401,20 @@ def forward(
     tape = tape if tape is not None else Tape()
     if query_sub is None:
         query_sub = labeled_subgraph(g, query, remove_target=True, **config.extraction)
-    return _predict_from_subgraphs(params, config, query_sub, context, tape)
+    return _item_probabilities(params, config, [(query_sub, context)], tape)
 
 
 def batch_loss(params: dict, config: ModelConfig, items, tape: Tape) -> Tensor:
     """Mean binary cross-entropy over (query_sub, context, label) triples.
 
-    All subgraphs in the batch are encoded in one stacked pass; attention
-    and prediction then run per query on the shared embedding matrix.
+    The whole batch is one pass: distinct subgraphs encoded once, then
+    attention and prediction over stacked (B, m) context blocks, one block
+    per context shape; the per-item losses add up left to right.
     """
     if not items:
         raise ConfigError("batch_loss needs at least one item")
-    subs = []
-    layout = []
-    for query_sub, context, label in items:
-        qi = len(subs)
-        subs.append(query_sub)
-        if config.mode == MODE_ICL:
-            if context is None or context.size == 0:
-                raise ConfigError("icl mode requires a non-empty context")
-            ci = len(subs)
-            subs.extend(context.positives)
-            subs.extend(context.negatives)
-            layout.append((qi, ci, len(context.positives), context.size, label))
-        else:
-            layout.append((qi, None, 0, 0, label))
-    h_all = encode_subgraphs(params, config, subs, tape)
-    total = None
-    for qi, ci, n_pos, size, label in layout:
-        h_q = tape.reshape(tape.take_rows(h_all, [qi]), (config.hidden_dim,))
-        if ci is None:
-            h_tilde = tape.matmul(h_q, params["attn.value"])
-        else:
-            h_ctx = tape.take_rows(h_all, np.arange(ci, ci + size))
-            alphas = attention_scores(params, config, h_q, h_ctx, tape)
-            h_tilde = contextualize(params, config, alphas, h_ctx, n_pos, tape)
-        loss = tape.bce(predict(params, config, h_tilde, tape), label)
-        total = loss if total is None else tape.add(total, loss)
-    return tape.scale(total, 1.0 / len(items))
+    probs = _item_probabilities(params, config, [(q, c) for q, c, _ in items], tape)
+    return tape.bce(probs, [label for _, _, label in items])
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +461,6 @@ def model_gradient_check(seed: int, config: ModelConfig = GRADCHECK_CONFIG, h: f
     params = init_params(config, seed)
 
     def loss_fn(ps, tape):
-        prob = _predict_from_subgraphs(ps, config, query_sub, context, tape)
-        return tape.bce(prob, 1.0)
+        return batch_loss(ps, config, [(query_sub, context, 1.0)], tape)
 
     return check_gradients(loss_fn, params, h=h)

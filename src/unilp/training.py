@@ -6,6 +6,8 @@ its own graph on every visit, which teaches the attention path to read the
 context instead of memorizing one. Model selection is a merged validation
 metric: held-out Hits@K averaged over the validation slices of the given
 datasets, with early stopping on patience and the best checkpoint returned.
+Both pretraining and finetuning build their (query, context, label) items
+with `training_item`; only the seeds of the contexts differ.
 """
 
 from __future__ import annotations
@@ -194,6 +196,21 @@ def sample_context(dataset: LinkDataset, k: int, seed: int, exclude=None, radius
     return build_context(dataset, pos_pairs, neg_pairs, radius, max_per_hop=max_per_hop, seed=seed)
 
 
+def training_item(ds: LinkDataset, pair, label: float, model_config: ModelConfig, context_k: int,
+                  context_key: tuple) -> tuple:
+    """One (query_sub, context, label) item of batch_loss. In ICL mode the
+    context is context_k positives and context_k negatives, never the query
+    itself, sampled with the seed derive_seed_int(*context_key)."""
+    context = None
+    if model_config.mode == MODE_ICL:
+        pos_pairs, neg_pairs = sample_context_pairs(
+            ds.observed, context_k, context_k, derive_seed_int(*context_key),
+            exclude=pair, forbidden=ds.full_edges,
+        )
+        context = build_context(ds, pos_pairs, neg_pairs, **model_config.extraction)
+    return ds.subgraph(pair, **model_config.extraction), context, label
+
+
 # ---------------------------------------------------------------------------
 # pretraining
 
@@ -287,21 +304,13 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
             with np.errstate(over="ignore", invalid="ignore"):
                 for lo in range(0, len(queries), train_config.batch_size):
                     batch = queries[lo : lo + train_config.batch_size]
-                    items = []
-                    for ds_index, pair, label in batch:
-                        ds = train_datasets[ds_index]
-                        sub = ds.subgraph(pair, **model_config.extraction)
-                        context = None
-                        if model_config.mode == MODE_ICL:
-                            pos_pairs, neg_pairs = sample_context_pairs(
-                                ds.observed, train_config.context_k, train_config.context_k,
-                                derive_seed_int(seed, "ctx", epoch, counter),
-                                exclude=pair, forbidden=ds.full_edges,
-                            )
-                            context = build_context(ds, pos_pairs, neg_pairs,
-                                                    **model_config.extraction)
-                        counter += 1
-                        items.append((sub, context, label))
+                    items = [
+                        training_item(train_datasets[ds_index], pair, label, model_config,
+                                      train_config.context_k,
+                                      (seed, "ctx", epoch, counter + j))
+                        for j, (ds_index, pair, label) in enumerate(batch)
+                    ]
+                    counter += len(batch)
                     tape = Tape()
                     loss = batch_loss(params, model_config, items, tape)
                     tape.backward(loss)
@@ -373,18 +382,11 @@ def finetune(params: dict, dataset: LinkDataset, n_links: int, steps: int,
             pass_index += 1
         take = cursor[: train_config.batch_size]
         cursor = cursor[train_config.batch_size :]
-        items = []
-        for i in take:
-            pair, label = pool[i]
-            context = None
-            if model_config.mode == MODE_ICL:
-                pos_pairs, neg_pairs = sample_context_pairs(
-                    dataset.observed, train_config.context_k, train_config.context_k,
-                    derive_seed_int(seed, "finetune-ctx", step_index, int(i)),
-                    exclude=pair, forbidden=dataset.full_edges,
-                )
-                context = build_context(dataset, pos_pairs, neg_pairs, **model_config.extraction)
-            items.append((dataset.subgraph(pair, **model_config.extraction), context, label))
+        items = [
+            training_item(dataset, *pool[i], model_config, train_config.context_k,
+                          (seed, "finetune-ctx", step_index, int(i)))
+            for i in take
+        ]
         tape = Tape()
         loss = batch_loss(new_params, model_config, items, tape)
         tape.backward(loss)

@@ -85,8 +85,8 @@ def test_scale_tile_mean_concat_gradients():
     params = {"x": param(safe_values((4, 3), 1)), "v": param(safe_values(3, 2))}
 
     def loss(ps, t):
-        tiled = t.tile_rows(ps["v"], 4)                       # (4, 3)
-        merged = t.concat(t.scale(ps["x"], -1.7), tiled)      # (4, 6)
+        row = t.reshape(ps["v"], (1, 3))                      # tiled by broadcasting
+        merged = t.concat(t.scale(ps["x"], -1.7), row)        # (4, 6)
         return scalarize(t, merged)
 
     assert check_gradients(loss, params) < GRAD_TOL
@@ -212,6 +212,115 @@ def test_backward_requires_scalar_loss():
 def test_nonfinite_op_output_raises_at_source():
     with pytest.raises(NumericError):
         Tape().scale(param(np.array([1.0])), math.inf)
+
+
+# ---------------------------------------------------------------------------
+# stacked (batched) forms: finite differences, and bit-equality with the
+# per-row forms the batched model path relies on
+
+
+def flatten(tape, x):
+    return scalarize(tape, tape.reshape(x, (x.values.size,)))
+
+
+def test_stacked_matmul_gradients_and_per_entry_values():
+    cases = [
+        {"a": param(safe_values((2, 3, 4), 1)), "b": param(safe_values((4, 5), 2))},
+        {"a": param(safe_values((3, 1, 4), 3)), "b": param(safe_values((4, 2), 4))},
+        {"a": param(safe_values((2, 3, 1, 4), 5)), "b": param(safe_values((2, 3, 4, 2), 6))},
+        {"a": param(safe_values((2, 3, 1, 4), 7)), "b": param(safe_values((3, 4, 2), 8))},
+    ]
+    for i, params in enumerate(cases):
+        err = check_gradients(
+            lambda ps, tape: flatten(tape, tape.matmul(ps["a"], ps["b"])), params
+        )
+        assert err < GRAD_TOL, (i, err)
+    rng = derive_rng(0, "test-autodiff-stacked")
+    for m in (1, 2, 40):
+        a, b = rng.normal(size=(5, m, 96)), rng.normal(size=(96, 48))
+        out = Tape().matmul(const(a), const(b)).values
+        for k in range(5):
+            want = a[k, 0] @ b if m == 1 else a[k] @ b
+            assert np.array_equal(out[k].reshape(want.shape), want)
+    with pytest.raises(ConfigError):
+        Tape().matmul(param(np.ones((2, 3, 4))), param(np.ones(4)))
+    with pytest.raises(ConfigError):
+        Tape().matmul(param(np.ones((2, 1, 4))), param(np.ones((3, 4, 2))))
+
+
+def test_broadcast_add_and_concat_gradients():
+    cases = [
+        ("add", (2, 3, 4), (4,)),
+        ("add", (2, 1, 4), (3, 4)),
+        ("concat", (2, 1, 3), (4, 2)),
+        ("concat", (2, 4, 3), (2, 4, 1)),
+    ]
+    for i, (op, sa, sb) in enumerate(cases):
+        params = {"a": param(safe_values(sa, 2 * i)), "b": param(safe_values(sb, 2 * i + 1))}
+        err = check_gradients(
+            lambda ps, t: flatten(t, getattr(t, op)(ps["a"], ps["b"])), params
+        )
+        assert err < GRAD_TOL, (op, sa, sb, err)
+    q, ctx = safe_values((2, 3), 9), safe_values((4, 5), 10)
+    keys = Tape().concat(const(q.reshape(2, 1, 3)), const(ctx)).values
+    assert keys.shape == (2, 4, 8)
+    for k in range(2):
+        assert np.array_equal(keys[k], np.concatenate([np.tile(q[k], (4, 1)), ctx], axis=1))
+    with pytest.raises(ConfigError):
+        Tape().concat(param(np.ones((2, 3))), param(np.ones((3, 3))))
+
+
+def test_stacked_dot_rows_and_softmax_match_rows():
+    params = {"x": param(safe_values((2, 3, 2, 4), 3)), "v": param(safe_values((2, 4), 4))}
+    err = check_gradients(lambda ps, t: flatten(t, t.dot_rows(ps["x"], ps["v"])), params)
+    assert err < GRAD_TOL
+    x, v = params["x"].values, params["v"].values
+    out = Tape().dot_rows(const(x), const(v)).values
+    for b in range(2):
+        for h in range(2):
+            want = Tape().dot_rows(const(x[b, :, h]), const(v[h])).values
+            assert np.array_equal(out[b, :, h], want)
+    with pytest.raises(ConfigError):
+        Tape().dot_rows(param(np.ones((3, 4))), param(np.ones((2, 4))))
+    s = safe_values((2, 3, 5), 5)
+    err = check_gradients(lambda ps, t: flatten(t, t.softmax(ps["s"])), {"s": param(s)})
+    assert err < GRAD_TOL
+    # a transposed (non-contiguous) input still reduces each row like 1-D
+    scores = safe_values((2, 5, 3), 6)
+    tape = Tape()
+    rows = tape.softmax(tape.transpose(const(scores), (0, 2, 1))).values
+    for b in range(2):
+        for h in range(3):
+            assert np.array_equal(rows[b, h], Tape().softmax(const(scores[b, :, h])).values)
+
+
+def test_transpose_and_stacked_slice_gradients():
+    params = {"x": param(safe_values((2, 3, 4), 7))}
+
+    def loss(ps, t):
+        moved = t.transpose(ps["x"], (1, 2, 0))            # (3, 4, 2)
+        return flatten(t, t.slice_last(moved, 0, 1))
+
+    assert check_gradients(loss, params) < GRAD_TOL
+    with pytest.raises(ConfigError):
+        Tape().transpose(param(np.ones((2, 3))), (0, 0))
+
+
+def test_bce_mean_over_batch_sums_left_to_right():
+    probs = np.array([0.2, 0.9, 0.55, 0.01, 0.7])
+    labels = [1.0, 1.0, 0.0, 0.0, 1.0]
+    batched = Tape().bce(param(probs), labels).item()
+    total = 0.0
+    for p, y in zip(probs, labels):
+        total += Tape().bce(param(np.array([p])), y).item()
+    assert batched == total * (1.0 / len(labels))
+
+    def chained(ps, t):
+        return t.bce(t.sigmoid(ps["z"]), labels)
+
+    assert check_gradients(chained, {"z": param(safe_values(5, 11))}) < GRAD_TOL
+    with pytest.raises(ConfigError):
+        Tape().bce(param(probs), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

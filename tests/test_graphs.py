@@ -333,6 +333,54 @@ def test_sample_nonedges_matches_reference_pool_cold_and_warm():
         assert len(g._nonedge_pools) <= 4
 
 
+def reference_rejection_nonedges(g, count, seed, exclude=(), query=None):
+    """Rejection sampling with the forbidden set rebuilt on every call: the
+    definition the cached forbidden set must reproduce draw for draw."""
+    if query is not None:
+        exclude = set(map(tuple, exclude)) | {tuple(query)}
+    edge_set = g.edge_set()
+    excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
+    capacity = g.n * (g.n - 1) // 2 - g.edge_count - len(excluded)
+    if count > capacity:
+        raise DataError("over capacity")
+    forbidden = edge_set | excluded
+    rng = derive_rng(seed, "nonedges", count)
+    out, chosen = [], set()
+    while len(out) < count:
+        u, v = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        if pair not in forbidden and pair not in chosen:
+            chosen.add(pair)
+            out.append(pair)
+    return out
+
+
+def test_sample_nonedges_rejection_matches_reference_cold_and_warm():
+    # 30x30 torus: 404,550 pairs, past the dense-pool limit
+    make = lambda: lattice("grid", 30, 30, torus=True)
+    g = make()
+    assert g.n * (g.n - 1) // 2 > 200_000
+    edges = [tuple(e) for e in g.edge_array().tolist()]
+    nonedges = reference_rejection_nonedges(g, 40, seed=7)
+    excludes = [(), frozenset(edges[:9] + nonedges[:20]), [list(p[::-1]) for p in nonedges[20:30]]]
+    queries = [None, edges[5], nonedges[35], nonedges[36][::-1], nonedges[25]]
+    for exclude in excludes:
+        for query in queries:
+            for seed in range(3):
+                for count in (1, 9, 60):
+                    want = reference_rejection_nonedges(g, count, seed, exclude, query)
+                    cold = sample_nonedges(make(), count, seed, exclude=exclude, query=query)
+                    warm = sample_nonedges(g, count, seed, exclude=exclude, query=query)
+                    assert cold == warm == want, (exclude, query, seed, count)
+    assert len(g._nonedge_pools) <= 4
+    # the forbidden set is built once per exclude set, not once per call
+    cached = g._nonedge_pools[frozenset()]
+    sample_nonedges(g, 5, seed=1, query=nonedges[0])
+    assert g._nonedge_pools[frozenset()] is cached
+
+
 def test_sample_nonedges_capacity_counts_the_query():
     tri = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
     assert sorted(sample_nonedges(tri, 2, seed=0, query=(3, 1))) == [(0, 3), (2, 3)]

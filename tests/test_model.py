@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from unilp.autodiff import Tape, const
+from unilp.autodiff import PROB_EPS, Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
 from unilp.labeling import LabeledSubgraph, LabelVocab, labeled_subgraph
@@ -13,11 +13,13 @@ from unilp.model import (
     ModelConfig,
     attention_scores,
     batch_loss,
+    contextualize,
     encode_subgraph,
     encode_subgraphs,
     forward,
     init_params,
     model_gradient_check,
+    predict,
 )
 from unilp.rng import derive_rng
 from unilp.training import LinkDataset, sample_context
@@ -304,7 +306,178 @@ def test_batch_loss_matches_individual_losses(params, dataset):
         t = Tape()
         prob = forward(params, SMALL, dataset.observed, q, ctx, tape=t)
         singles.append(t.bce(prob, y).item())
-    assert batched == pytest.approx(float(np.mean(singles)), rel=1e-12)
+    assert batched == float(np.mean(singles))
+
+
+def reference_attention(params, cfg, h_q, h_ctx, tape):
+    """Per-head loop over 1-D and 2-D tape ops: the definition of the
+    attention weights of one query."""
+    m, width = h_ctx.values.shape[0], cfg.attention_dim // cfg.heads
+    keys_in = tape.concat(tape.reshape(h_q, (1, cfg.hidden_dim)), h_ctx)  # (m, 2F)
+    z = tape.leaky_relu(tape.matmul(keys_in, params["attn.key"]), cfg.leaky_slope)
+    return [
+        tape.softmax(tape.dot_rows(
+            tape.slice_last(z, lo, lo + width), tape.slice_last(params["attn.vec"], lo, lo + width)
+        ))
+        for lo in range(0, cfg.attention_dim, width)
+    ]
+
+
+def reference_contextualize(params, cfg, alphas, h_ctx, n_pos, tape):
+    m, width = h_ctx.values.shape[0], cfg.attention_dim // cfg.heads
+    parts = []
+    for start, stop, label in ((0, n_pos, "label.pos"), (n_pos, m, "label.neg")):
+        if start < stop:
+            rows = tape.take_rows(h_ctx, np.arange(start, stop))
+            parts.append((start, stop, tape.matmul(tape.add(rows, params[label]), params["attn.value"])))
+    out = None
+    for head, alpha in enumerate(alphas):
+        lo = head * width
+        part = None
+        for start, stop, projected in parts:
+            term = tape.matmul(tape.slice_last(alpha, start, stop),
+                               tape.slice_last(projected, lo, lo + width))
+            part = term if part is None else tape.add(part, term)
+        out = part if out is None else tape.concat(out, part)
+    return out
+
+
+def reference_predict(params, cfg, h_tilde, tape):
+    z = h_tilde
+    for layer in range(cfg.mlp_layers):
+        z = tape.add(tape.matmul(z, params[f"mlp.{layer}.w"]), params[f"mlp.{layer}.b"])
+        if layer < cfg.mlp_layers - 1:
+            z = tape.leaky_relu(z, cfg.leaky_slope)
+    return tape.clamp(tape.sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
+
+
+def test_attention_path_matches_per_head_loops_bitwise():
+    rng = derive_rng(0, "test-model-heads")
+    for heads in (1, 2, 4):
+        cfg = ModelConfig.from_dict({**SMALL.to_dict(), "heads": heads})
+        params = init_params(cfg, heads)
+        for m, n_pos in ((1, 1), (1, 0), (6, 0), (6, 6), (7, 3), (40, 20)):
+            h_q = rng.normal(size=(3, 16))
+            h_ctx = rng.normal(size=(3, m, 16))
+            tape = Tape()
+            batched_alpha = attention_scores(params, cfg, const(h_q), const(h_ctx), tape)
+            batched_tilde = contextualize(params, cfg, batched_alpha, const(h_ctx), n_pos, tape)
+            batched_prob = predict(params, cfg, batched_tilde, tape).values
+            shared_alpha = attention_scores(params, cfg, const(h_q), const(h_ctx[1]), tape).values
+            for b in range(3):
+                q, ctx = const(h_q[b]), const(h_ctx[b])
+                want_alpha = reference_attention(params, cfg, q, ctx, tape)
+                want_tilde = reference_contextualize(params, cfg, want_alpha, ctx, n_pos, tape)
+                want_prob = reference_predict(params, cfg, want_tilde, tape).values
+                alphas = attention_scores(params, cfg, q, ctx, tape)
+                tilde = contextualize(params, cfg, alphas, ctx, n_pos, tape)
+                assert len(alphas) == heads
+                for h in range(heads):
+                    assert np.array_equal(alphas[h].values, want_alpha[h].values)
+                    assert np.array_equal(batched_alpha.values[b, h], want_alpha[h].values)
+                assert np.array_equal(tilde.values, want_tilde.values)
+                assert np.array_equal(batched_tilde.values[b], want_tilde.values)
+                assert np.array_equal(predict(params, cfg, tilde, tape).values, want_prob)
+                assert batched_prob[b] == want_prob[0]
+            want_shared = reference_attention(params, cfg, const(h_q[2]), const(h_ctx[1]), tape)
+            for h in range(heads):
+                assert np.array_equal(shared_alpha[2, h], want_shared[h].values)
+
+
+def reference_batch_loss(params, cfg, items):
+    """Per-query loop over the single-query forms of attention_scores,
+    contextualize and predict: the definition batch_loss must reproduce.
+    Returns (loss, gradients)."""
+    from unilp.autodiff import zero_grad
+
+    tape = Tape()
+    total = None
+    for query_sub, context, label in items:
+        if cfg.mode == "no_context":
+            h_tilde = tape.matmul(encode_subgraph(params, cfg, query_sub, tape), params["attn.value"])
+        else:
+            subs = [query_sub] + list(context.positives) + list(context.negatives)
+            h_all = encode_subgraphs(params, cfg, subs, tape)
+            h_q = tape.reshape(tape.take_rows(h_all, [0]), (cfg.hidden_dim,))
+            h_ctx = tape.take_rows(h_all, np.arange(1, len(subs)))
+            alphas = attention_scores(params, cfg, h_q, h_ctx, tape)
+            h_tilde = contextualize(params, cfg, alphas, h_ctx, len(context.positives), tape)
+        loss = tape.bce(predict(params, cfg, h_tilde, tape), label)
+        total = loss if total is None else tape.add(total, loss)
+    loss = tape.scale(total, 1.0 / len(items))
+    tape.backward(loss)
+    grads = {name: t.grad.copy() for name, t in params.items() if t.grad is not None}
+    zero_grad(params)
+    return loss.item(), grads
+
+
+def batched_loss_and_grads(params, cfg, items):
+    from unilp.autodiff import zero_grad
+
+    tape = Tape()
+    loss = batch_loss(params, cfg, items, tape)
+    tape.backward(loss)
+    grads = {name: t.grad.copy() for name, t in params.items() if t.grad is not None}
+    zero_grad(params)
+    return loss.item(), grads
+
+
+def test_batch_loss_matches_per_query_reference(dataset):
+    multi = ModelConfig.from_dict({**SMALL.to_dict(), "heads": 4})
+    no_ctx = ModelConfig.from_dict({**SMALL.to_dict(), "mode": "no_context"})
+    g = dataset.observed
+    edges = [tuple(e) for e in g.edge_array().tolist()]
+    sub = lambda pair: dataset.subgraph(pair, **SMALL.extraction)
+    pos = [sub(e) for e in edges[:12]]
+    neg = [sub(p) for p in [(0, 20), (1, 30), (2, 40), (3, 50), (4, 60), (5, 33)]]
+    shared = ContextSet(positives=tuple(pos[:3]), negatives=tuple(neg[:3]))
+    only_neg = ContextSet(positives=(), negatives=tuple(neg[1:5]))          # n_pos = 0
+    only_pos = ContextSet(positives=tuple(pos[4:9]), negatives=())          # n_pos = m
+    wide = ContextSet(positives=tuple(pos[2:9]), negatives=tuple(neg[:2]))  # overlaps shared
+    queries = [sub((0, 9)), sub((3, 12)), sub(edges[20]), pos[1], neg[4]]
+    labels = [1.0, 0.0, 1.0, 1.0, 0.0]
+    batches = {
+        "single": [(queries[0], shared, 1.0)],
+        "repeated context objects": [(q, shared, y) for q, y in zip(queries, labels)],
+        "ragged": [
+            (queries[0], shared, 1.0), (queries[1], only_neg, 0.0), (queries[2], wide, 1.0),
+            (queries[3], only_pos, 1.0), (queries[4], shared, 0.0), (queries[0], wide, 1.0),
+        ],
+    }
+    for cfg, seed in ((SMALL, 0), (multi, 1), (no_ctx, 2)):
+        params = init_params(cfg, seed)
+        for name, items in batches.items():
+            want_loss, want_grads = reference_batch_loss(params, cfg, items)
+            got_loss, got_grads = batched_loss_and_grads(params, cfg, items)
+            assert got_loss == want_loss, (cfg.heads, cfg.mode, name)
+            assert got_grads.keys() == want_grads.keys()
+            for pname, want in want_grads.items():
+                gap = np.abs(got_grads[pname] - want).max()
+                assert gap <= 1e-12 * np.abs(want).max(), (cfg.heads, cfg.mode, name, pname, gap)
+
+
+def test_batch_loss_encodes_each_subgraph_once_and_tape_does_not_grow(params, dataset):
+    ctx = sample_context(dataset, 4, seed=3)
+    queries = [dataset.subgraph(e, 1) for e in dataset.observed.edge_array().tolist()[:16]]
+    seen, nodes = [], []
+    import unilp.model as model_module
+
+    original = model_module.encode_subgraphs
+
+    def counting(ps, cfg, subs, tape):
+        seen.append(len(subs))
+        return original(ps, cfg, subs, tape)
+
+    model_module.encode_subgraphs = counting
+    try:
+        for b in (1, 4, 16):
+            tape = Tape()
+            batch_loss(params, SMALL, [(q, ctx, 1.0) for q in queries[:b]], tape)
+            nodes.append(len(tape._nodes))
+    finally:
+        model_module.encode_subgraphs = original
+    assert seen == [1 + ctx.size, 4 + ctx.size, 16 + ctx.size]
+    assert nodes[0] == nodes[1] == nodes[2]
 
 
 def test_batch_loss_backward_touches_all_parameters(params, dataset):
