@@ -154,13 +154,13 @@ def pattern_stats(g: Graph, link_set=None, anchors=None) -> PatternStats:
 
 
 def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None,
-                    max_per_hop=None) -> ContextSet:
+                    config: ModelConfig = ModelConfig()) -> ContextSet:
     """Return a corrupted copy of the context.
 
     flip_label swaps which side each example sits on (applying it twice
-    restores the original); random_context rebuilds a context of the same
+    restores the original); random_context draws a context of the same
     shape from a freshly generated unrelated graph, extracting its members
-    with the same radius and the given hop cap.
+    as the config says.
     """
     if kind == FLIP_LABEL:
         flipped = "flipped:"
@@ -172,21 +172,16 @@ def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None
         return ContextSet(positives=context.negatives, negatives=context.positives, source=source)
     if kind == RANDOM_CONTEXT:
         from .graphs import SbmSpec
-        from .training import LinkDataset, sample_context_pairs, build_context
+        from .training import LinkDataset, build_context
 
         if sbm_spec is None:
             sbm_spec = SbmSpec(block_sizes=(60, 60), p_in=0.1, p_out=0.02)
         g = generate_sbm(sbm_spec, derive_seed_int(seed, "random-ctx-graph"))
-        ds = LinkDataset.whole_graph("random-context", g)
-        n_pos = len(context.positives)
-        n_neg = len(context.negatives)
-        radius = context.positives[0].radius if context.positives else context.negatives[0].radius
-        pos_pairs, neg_pairs = sample_context_pairs(
-            g, n_pos, n_neg, derive_seed_int(seed, "random-ctx-pairs"),
-            forbidden=ds.full_edges,
+        return build_context(
+            LinkDataset.whole_graph("random-context", g), config, len(context.positives),
+            len(context.negatives), derive_seed_int(seed, "random-ctx-pairs"),
+            source="random-graph",
         )
-        return build_context(ds, pos_pairs, neg_pairs, radius, source="random-graph",
-                             max_per_hop=max_per_hop)
     raise ConfigError(f"unknown perturbation {kind!r}; expected one of {PERTURB_KINDS}")
 
 
@@ -208,7 +203,7 @@ def _encode_context_values(params, config, context):
 
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
     tape = Tape()
-    subs = [dataset.subgraph(p, **config.extraction) for p in pairs]
+    subs = [dataset.subgraph(p, config) for p in pairs]
     h_query = encode_subgraphs(params, config, subs, tape)
     h_ctx = None if ctx_values is None else const(ctx_values)
     return predict_batch(params, config, h_query, h_ctx, n_ctx_pos, tape).values.tolist()
@@ -335,7 +330,7 @@ def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
     positive share (n_pos = round(size * ratio)). In no-context mode those
     knobs are recorded but unused.
     """
-    from .training import build_context, sample_context_pairs
+    from .training import build_context
 
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio must lie in [0, 1], got {ratio}")
@@ -355,16 +350,11 @@ def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
     for run, seed in enumerate(seeds):
         context = None
         if config.mode != MODE_NO_CONTEXT:
-            pos_pairs, neg_pairs = sample_context_pairs(
-                dataset.observed, n_pos, n_neg,
-                derive_seed_int(seed, "eval-ctx", dataset.name),
-                forbidden=dataset.full_edges,
-            )
-            context = build_context(dataset, pos_pairs, neg_pairs, **config.extraction)
+            context = build_context(dataset, config, n_pos, n_neg,
+                                    derive_seed_int(seed, "eval-ctx", dataset.name))
             if perturb is not None:
                 context = perturb_context(
-                    context, perturb, derive_seed_int(seed, "eval-perturb"), sbm_spec,
-                    config.max_per_hop,
+                    context, perturb, derive_seed_int(seed, "eval-perturb"), sbm_spec, config
                 )
         scores = score_pairs(params, config, dataset, pos + neg, context, jobs=jobs)
         value = hits_at_k(scores[: len(pos)], scores[len(pos):], k_eff)
@@ -419,7 +409,7 @@ def context_size_sweep(params, config: ModelConfig, dataset, sizes, ratio: float
     """
     if config.mode == MODE_NO_CONTEXT:
         raise ConfigError("context_size_sweep requires a context-conditioned mode")
-    from .training import build_context, sample_context_pairs
+    from .training import build_context
 
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes or sizes[0] < 1:
@@ -427,8 +417,6 @@ def context_size_sweep(params, config: ModelConfig, dataset, sizes, ratio: float
     pos, neg = list(dataset.split.test_pos), list(dataset.split.test_neg)
     if not pos or not neg:
         raise DataError(f"dataset {dataset.name!r} has an empty test slice")
-    cap_pos = dataset.observed.edge_count
-    cap_neg = dataset.observed.n * (dataset.observed.n - 1) // 2 - len(dataset.full_edges)
     report = EvalReport(experiment="context-size-sweep", config={
         "model": config.to_dict(), "sizes": sizes, "ratio": ratio,
         "seeds": list(seeds), "hits_k": hits_k, "dataset": dataset.name,
@@ -436,22 +424,17 @@ def context_size_sweep(params, config: ModelConfig, dataset, sizes, ratio: float
     k_eff = min(hits_k, len(neg))
     trends = []
     for run, seed in enumerate(seeds):
-        max_size = sizes[-1]
-        want_pos = int(round(max_size * ratio))
-        want_neg = max_size - want_pos
-        full_pos, full_neg = sample_context_pairs(
-            dataset.observed, min(want_pos, cap_pos), min(want_neg, cap_neg),
-            derive_seed_int(seed, "sweep-ctx", dataset.name),
-            forbidden=dataset.full_edges,
-        )
+        want_pos = int(round(sizes[-1] * ratio))
+        full = build_context(dataset, config,
+                             *dataset.clip_to_capacity(want_pos, sizes[-1] - want_pos),
+                             derive_seed_int(seed, "sweep-ctx", dataset.name))
         values = []
         used_sizes = []
         for size in sizes:
-            n_pos = min(int(round(size * ratio)), len(full_pos))
-            n_neg = min(size - int(round(size * ratio)), len(full_neg))
-            if n_pos + n_neg == 0:
+            n_pos = int(round(size * ratio))
+            context = ContextSet(full.positives[:n_pos], full.negatives[:size - n_pos])
+            if context.size == 0:
                 continue
-            context = build_context(dataset, full_pos[:n_pos], full_neg[:n_neg], **config.extraction)
             scores = score_pairs(params, config, dataset, pos + neg, context, jobs=jobs)
             value = hits_at_k(scores[: len(pos)], scores[len(pos):], k_eff)
             report.add(dataset.name, config.mode, size, ratio, None, seed, run,

@@ -4,7 +4,10 @@ A candidate link (u, v) is represented by the subgraph induced on all nodes
 within `radius` hops of u or of v. The pair's own edge is masked during
 extraction (when present and requested): the walk and the adjacency build
 skip it, without copying the graph, so the representation of a known link
-never contains the link itself. Each node then gets a two-slot label:
+never contains the link itself. An optional hop cap thins each BFS hop to
+a sample drawn from a stream seeded by the pair alone, so a pair is
+extracted the same way in training, validation and scoring. Each node then
+gets a two-slot label:
 
     (drnl(d_u, d_v), 0)   when the node reaches both targets,
     (0, d)                when it reaches exactly one target at distance d,
@@ -142,7 +145,6 @@ def extract_ego_subgraph(
     radius: int,
     remove_target: bool = True,
     max_per_hop: int = None,
-    seed: int = 0,
 ) -> LabeledSubgraph:
     """Induced subgraph on nodes within radius hops of either endpoint.
 
@@ -151,7 +153,8 @@ def extract_ego_subgraph(
     extracting from `g.without_edge(u, v)` without copying g. Known links
     are so represented the same way candidate links are. Both endpoints are
     always included, even when isolated. Node order is canonical: u, v, then
-    ascending original ids.
+    ascending original ids. With max_per_hop, each hop keeps at most that
+    many new nodes, drawn by `derive_rng(0, "hop-cap", u, v)`.
     """
     u, v = canonical_pair(*pair)
     if v >= g.n:
@@ -165,7 +168,7 @@ def extract_ego_subgraph(
         other = masked.get(x)
         return row if other is None else [w for w in row if w != other]
 
-    rng = derive_rng(seed, "hop-cap", u, v) if max_per_hop is not None else None
+    rng = derive_rng(0, "hop-cap", u, v) if max_per_hop is not None else None
     du = _bounded_bfs(neighbors, u, radius, max_per_hop, rng)
     dv = _bounded_bfs(neighbors, v, radius, max_per_hop, rng)
     members = (du.keys() | dv.keys()) - {u, v}
@@ -227,8 +230,7 @@ def labeled_subgraph(
     radius: int,
     remove_target: bool = True,
     max_per_hop: int = None,
-    seed: int = 0,
 ) -> LabeledSubgraph:
     """Extract and label in one step; the form every model input takes."""
-    sub = extract_ego_subgraph(g, pair, radius, remove_target, max_per_hop, seed)
+    sub = extract_ego_subgraph(g, pair, radius, remove_target, max_per_hop)
     return sub.with_labels(drnl_plus(sub))

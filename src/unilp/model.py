@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import PROB_EPS, Tape, Tensor, check_gradients, param, xavier_uniform
-from .errors import ConfigError
+from .errors import ConfigError, check_int_fields
 from .graphs import Graph, generate_sbm, SbmSpec, sample_nonedges
 from .labeling import LabelVocab, LabeledSubgraph, labeled_subgraph
 from .rng import derive_rng
@@ -44,10 +44,11 @@ class ModelConfig:
 
     hidden_dim is the subgraph embedding width, attention_dim the key/value
     width (must be divisible by heads), embed_dim the label embedding width.
-    radius and max_per_hop shape every subgraph the model sees: with a cap,
-    each BFS hop keeps at most max_per_hop new nodes, drawn from a stream
-    seeded by the pair alone, so training, validation and scoring extract
-    the same subgraph for the same pair.
+    radius and max_per_hop are the one definition of how every query and
+    context link is extracted (`LinkDataset.subgraph`): with a cap, each BFS
+    hop keeps at most max_per_hop new nodes, drawn from a stream seeded by
+    the pair alone, so training, validation and scoring extract the same
+    subgraph for the same pair. Integer fields reject non-int values.
     """
 
     hidden_dim: int = 32
@@ -65,17 +66,11 @@ class ModelConfig:
     max_per_hop: int = None
 
     def __post_init__(self):
-        dims = (
-            self.hidden_dim,
-            self.attention_dim,
-            self.embed_dim,
-            self.encoder_layers,
-            self.mlp_layers,
-            self.mlp_hidden,
-            self.heads,
-            self.radius,
-        )
-        if any(int(d) < 1 for d in dims):
+        dims = ("hidden_dim", "attention_dim", "embed_dim", "encoder_layers", "mlp_layers",
+                "mlp_hidden", "heads", "radius")
+        hop_cap = () if self.max_per_hop is None else ("max_per_hop",)
+        check_int_fields(self, dims + ("drnl_cap", "dist_cap") + hop_cap)
+        if any(getattr(self, name) < 1 for name in dims):
             raise ConfigError(f"all model dimensions must be >= 1: {self}")
         if self.attention_dim % self.heads != 0:
             raise ConfigError(
@@ -83,18 +78,12 @@ class ModelConfig:
             )
         if self.mode not in (MODE_ICL, MODE_NO_CONTEXT):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.max_per_hop is not None and int(self.max_per_hop) < 1:
+        if self.max_per_hop is not None and self.max_per_hop < 1:
             raise ConfigError(f"max_per_hop must be >= 1 or None, got {self.max_per_hop}")
 
     @property
     def vocab(self) -> LabelVocab:
         return LabelVocab(drnl_cap=self.drnl_cap, dist_cap=self.dist_cap)
-
-    @property
-    def extraction(self) -> dict:
-        """Keyword arguments of LinkDataset.subgraph and build_context: how
-        every query and context link is extracted."""
-        return {"radius": self.radius, "max_per_hop": self.max_per_hop}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -400,7 +389,7 @@ def forward(
     """
     tape = tape if tape is not None else Tape()
     if query_sub is None:
-        query_sub = labeled_subgraph(g, query, remove_target=True, **config.extraction)
+        query_sub = labeled_subgraph(g, query, config.radius, max_per_hop=config.max_per_hop)
     return _item_probabilities(params, config, [(query_sub, context)], tape)
 
 
@@ -450,7 +439,7 @@ def model_gradient_check(seed: int, config: ModelConfig = GRADCHECK_CONFIG, h: f
     query = edges[0]
     positives = edges[1:3]
     negatives = sample_nonedges(g, 2, seed)
-    make = lambda pair: labeled_subgraph(g, pair, remove_target=True, **config.extraction)
+    make = lambda pair: labeled_subgraph(g, pair, config.radius, max_per_hop=config.max_per_hop)
     query_sub = make(query)
     context = None
     if config.mode == MODE_ICL:

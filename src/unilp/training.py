@@ -8,6 +8,11 @@ metric: held-out Hits@K averaged over the validation slices of the given
 datasets, with early stopping on patience and the best checkpoint returned.
 Both pretraining and finetuning build their (query, context, label) items
 with `training_item`; only the seeds of the contexts differ.
+
+Every context, in training, validation, evaluation, sweeps and random-
+context perturbations, is drawn by `build_context`, and every query and
+context member is extracted by `LinkDataset.subgraph` as the `ModelConfig`
+says (radius, hop cap), so training and evaluation see one representation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Optimizer, Tape, clone_params, step as opt_step
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_int_fields
 from .graphs import (
     DataSplit,
     Graph,
@@ -74,17 +79,23 @@ class LinkDataset:
         )
         return cls(name=name, split=split, observed=g)
 
-    def subgraph(self, pair, radius: int, max_per_hop=None, seed: int = 0):
-        """Labeled ego subgraph on the observed graph, memoized."""
-        key = (tuple(pair), radius, max_per_hop, seed if max_per_hop is not None else 0)
+    def subgraph(self, pair, config: ModelConfig):
+        """Labeled ego subgraph on the observed graph, extracted with the
+        config's radius and hop cap; memoized."""
+        key = (tuple(pair), config.radius, config.max_per_hop)
         sub = self._subgraphs.get(key)
         if sub is None:
-            sub = labeled_subgraph(
-                self.observed, pair, radius, remove_target=True,
-                max_per_hop=max_per_hop, seed=seed,
-            )
+            sub = labeled_subgraph(self.observed, pair, config.radius,
+                                   max_per_hop=config.max_per_hop)
             self._subgraphs[key] = sub
         return sub
+
+    def clip_to_capacity(self, n_pos: int, n_neg: int) -> tuple:
+        """Context side sizes clipped to what the graph offers: its observed
+        edges, and the node pairs outside the full edge set."""
+        n = self.observed.n
+        n_free = n * (n - 1) // 2 - len(self.full_edges)
+        return min(n_pos, self.observed.edge_count), min(n_neg, n_free)
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,8 @@ class TrainConfig:
     hits_k: int = 50
 
     def __post_init__(self):
+        check_int_fields(self, ("seed", "context_k", "eval_context_size", "batch_size",
+                                "max_epochs", "patience", "per_graph_cap", "hits_k"))
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
             raise ConfigError("batch_size/patience must be >= 1 and max_epochs >= 0")
         if self.context_k < 1 or self.eval_context_size < 1 or self.per_graph_cap < 1:
@@ -176,24 +189,26 @@ def sample_context_pairs(g: Graph, n_pos: int, n_neg: int, seed: int, exclude=No
     return pos_pairs, neg_pairs
 
 
-def build_context(dataset: LinkDataset, pos_pairs, neg_pairs, radius: int, source="target-graph",
-                  max_per_hop=None, seed: int = 0) -> ContextSet:
+def build_context(dataset: LinkDataset, config: ModelConfig, n_pos: int, n_neg: int, seed: int,
+                  exclude=None, source="target-graph") -> ContextSet:
+    """The one way a context is drawn: n_pos observed edges (never the
+    excluded query) and n_neg non-edges of the dataset, deterministic per
+    (seed, exclude), each extracted as the config says. Negatives avoid the
+    full edge set (held-out links never masquerade as negatives)."""
+    pos_pairs, neg_pairs = sample_context_pairs(
+        dataset.observed, n_pos, n_neg, seed, exclude=exclude, forbidden=dataset.full_edges
+    )
     return ContextSet(
-        positives=tuple(dataset.subgraph(p, radius, max_per_hop, seed) for p in pos_pairs),
-        negatives=tuple(dataset.subgraph(p, radius, max_per_hop, seed) for p in neg_pairs),
+        positives=tuple(dataset.subgraph(p, config) for p in pos_pairs),
+        negatives=tuple(dataset.subgraph(p, config) for p in neg_pairs),
         source=source,
     )
 
 
-def sample_context(dataset: LinkDataset, k: int, seed: int, exclude=None, radius: int = 1,
-                   max_per_hop=None) -> ContextSet:
-    """k positive and k negative context links from the dataset's observed
-    graph; deterministic per (seed, exclude). Negatives avoid the full edge
-    set (held-out links never masquerade as negatives)."""
-    pos_pairs, neg_pairs = sample_context_pairs(
-        dataset.observed, k, k, seed, exclude=exclude, forbidden=dataset.full_edges
-    )
-    return build_context(dataset, pos_pairs, neg_pairs, radius, max_per_hop=max_per_hop, seed=seed)
+def sample_context(dataset: LinkDataset, k: int, seed: int, exclude=None,
+                   config: ModelConfig = ModelConfig()) -> ContextSet:
+    """k positive and k negative context links; see build_context."""
+    return build_context(dataset, config, k, k, seed, exclude=exclude)
 
 
 def training_item(ds: LinkDataset, pair, label: float, model_config: ModelConfig, context_k: int,
@@ -203,13 +218,9 @@ def training_item(ds: LinkDataset, pair, label: float, model_config: ModelConfig
     itself, sampled with the seed derive_seed_int(*context_key)."""
     context = None
     if model_config.mode == MODE_ICL:
-        pos_pairs, neg_pairs = sample_context_pairs(
-            ds.observed, context_k, context_k, derive_seed_int(*context_key),
-            exclude=pair, forbidden=ds.full_edges,
-        )
-        context = build_context(ds, pos_pairs, neg_pairs, **model_config.extraction)
-    return ds.subgraph(pair, **model_config.extraction), context, label
-
+        context = build_context(ds, model_config, context_k, context_k,
+                                derive_seed_int(*context_key), exclude=pair)
+    return ds.subgraph(pair, model_config), context, label
 
 # ---------------------------------------------------------------------------
 # pretraining
@@ -223,11 +234,11 @@ def _merged_validation(params, model_config, val_datasets, val_contexts, hits_k)
     from .evaluation import hits_at_k, score_pairs
 
     metrics = []
-    for ds in val_datasets:
+    for ds, context in zip(val_datasets, val_contexts):
         pos, neg = _validation_slice(ds)
         if not pos or not neg:
             raise DataError(f"dataset {ds.name!r} has an empty validation slice")
-        scores = score_pairs(params, model_config, ds, list(pos) + list(neg), val_contexts.get(ds.name))
+        scores = score_pairs(params, model_config, ds, list(pos) + list(neg), context)
         k_eff = min(hits_k, len(neg))
         metrics.append(hits_at_k(scores[: len(pos)], scores[len(pos) :], k_eff))
     return float(np.mean(metrics))
@@ -254,14 +265,7 @@ def _epoch_queries(pools, cap, seed, epoch):
 
 def eval_context_for(ds: LinkDataset, model_config: ModelConfig, size: int, seed: int) -> ContextSet:
     """Inference-time context: `size` per side, clipped to graph capacity."""
-    cap_pos = ds.observed.edge_count
-    n_free = ds.observed.n * (ds.observed.n - 1) // 2 - len(ds.full_edges)
-    n_pos = min(size, cap_pos)
-    n_neg = min(size, n_free)
-    pos_pairs, neg_pairs = sample_context_pairs(
-        ds.observed, n_pos, n_neg, seed, forbidden=ds.full_edges
-    )
-    return build_context(ds, pos_pairs, neg_pairs, **model_config.extraction)
+    return build_context(ds, model_config, *ds.clip_to_capacity(size, size), seed)
 
 
 def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_config: TrainConfig):
@@ -284,13 +288,13 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
     ]
     if not any(pools):
         raise DataError("all training pools are empty")
-    val_contexts = {}
-    if model_config.mode == MODE_ICL:
-        for ds in val_datasets:
-            val_contexts[ds.name] = eval_context_for(
-                ds, model_config, train_config.eval_context_size,
-                derive_seed_int(seed, "val-ctx", ds.name),
-            )
+    # one fixed context per validation dataset, by position (names may repeat)
+    val_contexts = [
+        eval_context_for(ds, model_config, train_config.eval_context_size,
+                         derive_seed_int(seed, "val-ctx", ds.name))
+        if model_config.mode == MODE_ICL else None
+        for ds in val_datasets
+    ]
     record = TrainRecord()
     best_params = clone_params(params)
     bad_epochs = 0

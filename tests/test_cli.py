@@ -166,6 +166,19 @@ def test_pretrain_config_errors(ws, tmp_path):
     assert main(["pretrain", "--config", str(not_json), "--out", ckpt]) == 2
 
 
+def test_pretrain_rejects_non_integer_config_values(ws, tmp_path):
+    ckpt = str(tmp_path / "model.ckpt.json")
+    base = {"datasets": [{"name": "tri", "split": str(ws / "tri.split.json")}],
+            "model": SMALL_ICL.to_dict(), "train": {"max_epochs": 1, "hits_k": 2}}
+    bad = [("model", "max_per_hop", 2.5), ("model", "hidden_dim", 8.5),
+           ("train", "batch_size", 2.5), ("train", "context_k", 2.5), ("train", "max_epochs", 1.5)]
+    for section, key, value in bad:
+        doc = {**base, section: {**base[section], key: value}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "--config", str(path), "--out", ckpt]) == 1, (section, key)
+
+
 def test_finetune_command(ws, tmp_path, capsys):
     out = tmp_path / "tuned.ckpt.json"
     assert main(["finetune", "--checkpoint", str(ws / "plain.ckpt.json"),

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,8 @@ from unilp.evaluation import (
     verify_connectivity_pattern,
 )
 from unilp.graphs import Graph, LatticeSpec, derive_seed_int, generate_lattice
-from unilp.model import MODE_NO_CONTEXT, ModelConfig, init_params
-from unilp.training import LinkDataset, build_context, sample_context, sample_context_pairs
+from unilp.model import MODE_NO_CONTEXT, ContextSet, ModelConfig, init_params
+from unilp.training import LinkDataset, build_context, sample_context
 
 SMALL_ICL = ModelConfig(
     hidden_dim=8, attention_dim=8, embed_dim=8,
@@ -195,7 +196,7 @@ def test_flip_label_is_an_involution(tri_dataset):
 
 
 def test_random_context_preserves_shape(tri_dataset):
-    ctx = sample_context(tri_dataset, k=3, seed=0, radius=1)
+    ctx = sample_context(tri_dataset, k=3, seed=0)
     randomized = perturb_context(ctx, RANDOM_CONTEXT, seed=4)
     assert len(randomized.positives) == 3
     assert len(randomized.negatives) == 3
@@ -203,6 +204,9 @@ def test_random_context_preserves_shape(tri_dataset):
     assert all(s.radius == 1 for s in randomized.positives + randomized.negatives)
     assert perturb_context(ctx, RANDOM_CONTEXT, seed=4) == randomized
     assert perturb_context(ctx, RANDOM_CONTEXT, seed=5) != randomized
+    # members are extracted as the given config says, not as the context was
+    wide = perturb_context(ctx, RANDOM_CONTEXT, seed=4, config=replace(SMALL_ICL, radius=2))
+    assert all(s.radius == 2 for s in wide.positives + wide.negatives)
 
 
 def test_perturb_unknown_kind(tri_dataset):
@@ -365,11 +369,8 @@ def test_context_size_sweep(tri_dataset):
 
     # nested contexts: each size reuses a prefix of the seed's maximal draw
     pos, neg = list(tri_dataset.split.test_pos), list(tri_dataset.split.test_neg)
-    full_pos, full_neg = sample_context_pairs(
-        tri_dataset.observed, 4, 4, derive_seed_int(0, "sweep-ctx", "tri"),
-        forbidden=tri_dataset.full_edges,
-    )
-    ctx = build_context(tri_dataset, full_pos[:1], full_neg[:1], SMALL_ICL.radius)
+    full = build_context(tri_dataset, SMALL_ICL, 4, 4, derive_seed_int(0, "sweep-ctx", "tri"))
+    ctx = ContextSet(full.positives[:1], full.negatives[:1])
     scores = score_pairs(params, SMALL_ICL, tri_dataset, pos + neg, ctx)
     expected = hits_at_k(scores[: len(pos)], scores[len(pos):], 5)
     assert report.rows[0]["value"] == expected

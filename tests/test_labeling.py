@@ -142,9 +142,9 @@ def test_masked_extraction_matches_the_without_edge_view():
             for v in range(u + 1, g.n):
                 for radius in (1, 2):
                     for cap in (None, 2):
-                        got = labeled_subgraph(g, (u, v), radius, max_per_hop=cap, seed=u)
+                        got = labeled_subgraph(g, (u, v), radius, max_per_hop=cap)
                         want = labeled_subgraph(g.without_edge(u, v), (u, v), radius,
-                                                remove_target=False, max_per_hop=cap, seed=u)
+                                                remove_target=False, max_per_hop=cap)
                         assert got == want, (u, v, radius, cap)
 
 
@@ -240,19 +240,17 @@ def test_hop_cap_limits_and_is_deterministic():
     g = Graph.from_edges(31, [(0, i) for i in range(1, 31)])
     full = extract_ego_subgraph(g, (0, 1), radius=1)
     assert full.n == 31
-    capped = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5, seed=7)
+    capped = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5)
     assert capped.n == 7  # both targets + 5 sampled leaves
-    again = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5, seed=7)
+    again = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5)
     assert capped == again
-    other = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5, seed=8)
-    assert other.n == 7 and other.nodes != capped.nodes
 
 
 def test_hop_cap_keeps_labels_defined():
     # every retained node must still get a label (reachability invariant)
     for seed in range(10):
         g = random_graph(40, 0.12, seed)
-        sub = labeled_subgraph(g, (0, 1), radius=3, max_per_hop=4, seed=seed)
+        sub = labeled_subgraph(g, (0, 1), radius=3, max_per_hop=4)
         assert len(sub.labels) == sub.n
 
 

@@ -55,6 +55,9 @@ def test_config_validation_and_round_trip():
         ModelConfig(mode="transductive")
     with pytest.raises(ConfigError):
         ModelConfig(hidden_dim=0)
+    for bad in (dict(hidden_dim=8.5), dict(radius=1.0), dict(dist_cap=True), dict(max_per_hop=2.5)):
+        with pytest.raises(ConfigError):
+            ModelConfig(**bad)
     cfg = ModelConfig(hidden_dim=8, heads=2, attention_dim=8)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
@@ -427,7 +430,7 @@ def test_batch_loss_matches_per_query_reference(dataset):
     no_ctx = ModelConfig.from_dict({**SMALL.to_dict(), "mode": "no_context"})
     g = dataset.observed
     edges = [tuple(e) for e in g.edge_array().tolist()]
-    sub = lambda pair: dataset.subgraph(pair, **SMALL.extraction)
+    sub = lambda pair: dataset.subgraph(pair, SMALL)
     pos = [sub(e) for e in edges[:12]]
     neg = [sub(p) for p in [(0, 20), (1, 30), (2, 40), (3, 50), (4, 60), (5, 33)]]
     shared = ContextSet(positives=tuple(pos[:3]), negatives=tuple(neg[:3]))
@@ -458,7 +461,7 @@ def test_batch_loss_matches_per_query_reference(dataset):
 
 def test_batch_loss_encodes_each_subgraph_once_and_tape_does_not_grow(params, dataset):
     ctx = sample_context(dataset, 4, seed=3)
-    queries = [dataset.subgraph(e, 1) for e in dataset.observed.edge_array().tolist()[:16]]
+    queries = [dataset.subgraph(e, SMALL) for e in dataset.observed.edge_array().tolist()[:16]]
     seen, nodes = [], []
     import unilp.model as model_module
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError, DataError
-from unilp.evaluation import RANDOM_CONTEXT, SCORE_CHUNK, evaluate_model, hits_at_k, score_pairs
+import unilp.evaluation
+from unilp.evaluation import (
+    RANDOM_CONTEXT,
+    SCORE_CHUNK,
+    context_size_sweep,
+    evaluate_model,
+    hits_at_k,
+    score_pairs,
+)
 from unilp.graphs import (
     Graph,
     LatticeSpec,
@@ -175,9 +183,12 @@ def test_eval_context_clips_to_graph_capacity():
 
 def test_linkdataset_memoizes_subgraphs(tri_dataset):
     pair = tuple(tri_dataset.observed.edge_array()[0])
-    first = tri_dataset.subgraph(pair, radius=1)
-    assert tri_dataset.subgraph(pair, radius=1) is first
-    assert tri_dataset.subgraph(pair, radius=2) is not first
+    first = tri_dataset.subgraph(pair, SMALL_ICL)
+    assert tri_dataset.subgraph(pair, SMALL_ICL) is first
+    # only the extraction knobs key the cache
+    assert tri_dataset.subgraph(pair, SMALL_PLAIN) is first
+    assert tri_dataset.subgraph(pair, replace(SMALL_ICL, radius=2)) is not first
+    assert tri_dataset.subgraph(pair, replace(SMALL_ICL, max_per_hop=2)) is not first
 
 
 def test_whole_graph_dataset():
@@ -198,9 +209,14 @@ def test_train_config_validation():
         dict(eval_context_size=0),
         dict(per_graph_cap=0),
         dict(hits_k=0),
+        dict(batch_size=2.5),
+        dict(context_k=2.0),
+        dict(max_epochs=True),
+        dict(seed="1"),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+    assert TrainConfig(batch_size=np.int64(4)).batch_size == 4
 
 
 def test_epoch_queries_round_robin():
@@ -305,14 +321,18 @@ def test_hop_cap_is_shared_by_training_validation_eval_and_workers(monkeypatch):
         return sub
 
     monkeypatch.setattr(LinkDataset, "subgraph", spy)
-    train_ds, val_ds, eval_ds = (LinkDataset(name=name, split=split) for name in ("train", "val", "eval"))
+    train_ds, val_ds, eval_ds, sample_ds, sweep_ds = (
+        LinkDataset(name=name, split=split) for name in ("train", "val", "eval", "sample", "sweep")
+    )
     tc = TrainConfig(seed=0, max_epochs=1, batch_size=8, per_graph_cap=24, context_k=3,
                      eval_context_size=6, hits_k=2)
     params, _ = pretrain([train_ds], [val_ds], HOP_CAPPED, tc)
     evaluate_model(params, HOP_CAPPED, eval_ds, context_size=8, seeds=(0,), hits_k=2)
     evaluate_model(params, HOP_CAPPED, eval_ds, context_size=8, seeds=(0,), hits_k=2,
                    perturb=RANDOM_CONTEXT)
-    assert set(seen) == {"train", "val", "eval", "random-context"}
+    sample_context(sample_ds, 5, seed=7, config=HOP_CAPPED)
+    context_size_sweep(params, HOP_CAPPED, sweep_ds, sizes=(2, 6), seeds=(0,), hits_k=2)
+    assert set(seen) == {"train", "val", "eval", "random-context", "sample", "sweep"}
     capped_differs = False
     for name, subs in seen.items():
         for pair, (graph, sub) in subs.items():
@@ -326,6 +346,25 @@ def test_hop_cap_is_shared_by_training_validation_eval_and_workers(monkeypatch):
     assert np.array_equal(score_pairs(params, HOP_CAPPED, eval_ds, pairs, ctx, jobs=2), serial)
     uncapped = replace(HOP_CAPPED, max_per_hop=None)
     assert not np.array_equal(score_pairs(params, uncapped, eval_ds, pairs, ctx), serial)
+
+
+def test_validation_contexts_follow_datasets_that_share_a_name(monkeypatch):
+    grid = LinkDataset.from_graph("x", lattice("grid", 6, 6), seed=0)
+    tri = LinkDataset.from_graph("x", lattice("triangular", 6, 6), seed=0)
+    tc = TrainConfig(seed=0, max_epochs=1, batch_size=16, per_graph_cap=16, context_k=2,
+                     eval_context_size=5, hits_k=2)
+    validated = []
+    original = unilp.evaluation.score_pairs
+
+    def spy(params, config, dataset, pairs, context=None, jobs=1):
+        validated.append((dataset, context))
+        return original(params, config, dataset, pairs, context, jobs)
+
+    monkeypatch.setattr(unilp.evaluation, "score_pairs", spy)
+    pretrain([grid], [grid, tri], SMALL_ICL, tc)
+    assert [ds for ds, _ in validated] == [grid, tri]
+    for ds, context in validated:
+        assert context == eval_context_for(ds, SMALL_ICL, 5, derive_seed_int(0, "val-ctx", "x"))
 
 
 def test_pretrain_early_stopping_tracks_best_epoch(tri_dataset):
