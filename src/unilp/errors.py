@@ -4,7 +4,7 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies rather than bare ValueError.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class UnilpError(Exception):
@@ -23,10 +23,12 @@ class NumericError(UnilpError):
     """Non-finite values or numeric invariant violations."""
 
 
-def check_int_fields(config, names) -> None:
-    """ConfigError unless each named field of config holds an integer (a
-    bool or a float such as 2.0 does not count)."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+def check_number_fields(config, ints=(), reals=()) -> None:
+    """ConfigError unless each field of config named in ints holds an
+    integer and each named in reals a real number. A bool counts as neither,
+    a float such as 2.0 is not an integer, and NumPy numbers count."""
+    for names, kind, noun in ((ints, Integral, "an integer"), (reals, Real, "a real number")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")

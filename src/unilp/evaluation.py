@@ -115,10 +115,11 @@ def _enumerate_pattern(g: Graph, lengths, link_set, anchors):
             if pair in seen:
                 continue
             seen.add(pair)
-            view = g.without_edge(*pair) if g.has_edge(*pair) else g
             linked = pair in link_set
+            # a simple path of 2 or more edges never uses the pair's own edge,
+            # so the count on g equals the count with that edge removed
             for length in lengths:
-                if count_simple_paths(view, pair[0], pair[1], length) > 0:
+                if count_simple_paths(g, pair[0], pair[1], length) > 0:
                     totals[length] += 1
                     hits[length] += linked
     return hits, totals, len(seen)
@@ -190,7 +191,8 @@ def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None
 
 
 def _encode_context_values(params, config, context):
-    """Context embeddings as a plain array (encoded once per evaluation)."""
+    """Context embeddings as a plain (1, m, F) array, the shared context of
+    every scored query (encoded once per evaluation)."""
     if config.mode == MODE_NO_CONTEXT:
         return None, 0
     if context is None or context.size == 0:
@@ -198,7 +200,7 @@ def _encode_context_values(params, config, context):
     tape = Tape()
     subs = list(context.positives) + list(context.negatives)
     h = encode_subgraphs(params, config, subs, tape)
-    return h.values.copy(), len(context.positives)
+    return h.values.reshape((1,) + h.shape).copy(), len(context.positives)
 
 
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):

@@ -277,23 +277,6 @@ def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
 # paths and traversal
 
 
-def bfs_distances(g: Graph, source: int, max_depth=None) -> dict:
-    """Hop distances from source; nodes beyond max_depth are omitted."""
-    dist = {int(source): 0}
-    queue = deque([int(source)])
-    while queue:
-        x = queue.popleft()
-        d = dist[x]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for w in g.neighbors(x):
-            w = int(w)
-            if w not in dist:
-                dist[w] = d + 1
-                queue.append(w)
-    return dist
-
-
 def shortest_path(g: Graph, u: int, v: int):
     """Hop count of a shortest u-v path, or UNREACHABLE."""
     u, v = int(u), int(v)
@@ -346,23 +329,6 @@ def count_simple_paths(g: Graph, u: int, v: int, edge_len: int) -> int:
     walk(u, edge_len)
     return count
 
-
-def is_bipartite(g: Graph) -> bool:
-    color = np.full(g.n, -1, dtype=np.int8)
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in g.neighbors(x):
-                if color[w] == -1:
-                    color[w] = 1 - color[x]
-                    queue.append(int(w))
-                elif color[w] == color[x]:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

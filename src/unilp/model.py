@@ -11,8 +11,10 @@ applied to the query embedding directly and the MLP scores it; nothing is
 conditioned on examples, which makes it the plain supervised baseline.
 
 Training, scoring and the single-query `forward` share one batched path,
-`predict_batch`: B query embeddings (B, F) attend over a context block that
-is either (B, m, F), one context per query, or (m, F), shared by all
+`predict_batch`, with one input layout: B query embeddings (B, F) attend
+over a context block (C, m, F). C is B in training and `forward`, one
+context per query, and every context of a batch has the same size and
+number of positives; C is 1 in scoring, one context that broadcasts to all
 queries. Attention, contextualization and the MLP each run once per batch,
 as stacked tensor ops whose every stack entry makes the same BLAS call and
 the same reduction a single query would, so a query's probability does not
@@ -29,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import PROB_EPS, Tape, Tensor, check_gradients, param, xavier_uniform
-from .errors import ConfigError, check_int_fields
+from .errors import ConfigError, check_number_fields
 from .graphs import Graph, generate_sbm, SbmSpec, sample_nonedges
 from .labeling import LabelVocab, LabeledSubgraph, labeled_subgraph
 from .rng import derive_rng
@@ -48,7 +50,8 @@ class ModelConfig:
     context link is extracted (`LinkDataset.subgraph`): with a cap, each BFS
     hop keeps at most max_per_hop new nodes, drawn from a stream seeded by
     the pair alone, so training, validation and scoring extract the same
-    subgraph for the same pair. Integer fields reject non-int values.
+    subgraph for the same pair. Integer fields reject non-int values, and
+    leaky_slope rejects anything but a real number.
     """
 
     hidden_dim: int = 32
@@ -69,7 +72,8 @@ class ModelConfig:
         dims = ("hidden_dim", "attention_dim", "embed_dim", "encoder_layers", "mlp_layers",
                 "mlp_hidden", "heads", "radius")
         hop_cap = () if self.max_per_hop is None else ("max_per_hop",)
-        check_int_fields(self, dims + ("drnl_cap", "dist_cap") + hop_cap)
+        check_number_fields(self, ints=dims + ("drnl_cap", "dist_cap") + hop_cap,
+                            reals=("leaky_slope",))
         if any(getattr(self, name) < 1 for name in dims):
             raise ConfigError(f"all model dimensions must be >= 1: {self}")
         if self.attention_dim % self.heads != 0:
@@ -203,13 +207,6 @@ def encode_subgraphs(params: dict, config: ModelConfig, subs, tape: Tape) -> Ten
     return tape.spmm(pool, h)
 
 
-def encode_subgraph(params: dict, config: ModelConfig, sub: LabeledSubgraph, tape: Tape = None) -> Tensor:
-    """Single-subgraph embedding as a 1-D tensor of width hidden_dim."""
-    tape = tape if tape is not None else Tape()
-    h = encode_subgraphs(params, config, [sub], tape)
-    return tape.reshape(h, (config.hidden_dim,))
-
-
 # ---------------------------------------------------------------------------
 # attention and prediction
 
@@ -219,20 +216,21 @@ def attention_scores(params: dict, config: ModelConfig, h_query: Tensor, h_conte
 
     Scores depend only on the query and context embeddings, never on the
     positive/negative designation of the members. h_query is (B, F) and
-    h_context (B, m, F) or (m, F) shared by every query; returns a
-    (B, heads, m) tensor. The single-query form, h_query (F,) with
-    h_context (m, F), returns a list with one (m,) tensor per head.
+    h_context (C, m, F), with C = B (one context per query) or C = 1 (one
+    context shared by every query); returns a (B, heads, m) tensor. A lone
+    query (F,) with an (m, F) context is reshaped into that form, and gives
+    a list with one (m,) tensor per head.
     """
-    single = h_query.values.ndim == 1
-    if single:
+    lone = h_query.values.ndim == 1
+    if lone:
         h_query = tape.reshape(h_query, (1,) + h_query.shape)
-    ctx = h_context.values
-    if ctx.ndim not in (2, 3) or ctx.shape[-2] == 0:
-        raise ConfigError("attention needs at least one context member")
+        h_context = tape.reshape(h_context, (1,) + h_context.shape)
     batch, width = h_query.shape[0], config.attention_dim // config.heads
-    if ctx.ndim == 3 and ctx.shape[0] != batch:
-        raise ConfigError(f"{batch} queries but {ctx.shape[0]} contexts")
-    m = ctx.shape[-2]
+    if len(h_context.shape) != 3 or h_context.shape[1] == 0:
+        raise ConfigError(f"attention needs a (C, m, F) context with m >= 1, got {h_context.shape}")
+    if h_context.shape[0] not in (1, batch):
+        raise ConfigError(f"{batch} queries but {h_context.shape[0]} contexts")
+    m = h_context.shape[1]
     # each query's (m, 2F) key input is one gemm, as for a lone query
     keys_in = tape.concat(tape.reshape(h_query, (batch, 1, h_query.shape[-1])), h_context)
     z = tape.leaky_relu(tape.matmul(keys_in, params["attn.key"]), config.leaky_slope)
@@ -243,65 +241,51 @@ def attention_scores(params: dict, config: ModelConfig, h_query: Tensor, h_conte
         tape.reshape(params["attn.vec"], (config.heads, width)),
     )
     alpha = tape.softmax(tape.transpose(scores, (0, 2, 1)))
-    if not single:
+    if not lone:
         return alpha
     flat = tape.reshape(alpha, (config.heads * m,))
     return [tape.slice_last(flat, h * m, (h + 1) * m) for h in range(config.heads)]
 
 
-def contextualize(params: dict, config: ModelConfig, alphas, h_context: Tensor, n_pos: int, tape: Tape) -> Tensor:
+def contextualize(params: dict, config: ModelConfig, alphas: Tensor, h_context: Tensor, n_pos: int,
+                  tape: Tape) -> Tensor:
     """Attention-weighted sum of value-projected context embeddings, with the
     positive/negative label vector added to each member before projection.
 
     alphas is attention_scores' (B, heads, m) output for the context
-    h_context, (B, m, F) or shared (m, F), whose first n_pos members are the
-    positives; returns (B, attention_dim). The single-query form (a per-head
-    list and an (m, F) context) returns an (attention_dim,) tensor.
+    h_context, (C, m, F) with C = B or 1, whose first n_pos members are the
+    positives; returns (B, attention_dim).
     """
-    single = isinstance(alphas, (list, tuple))
-    if single:
-        alpha = alphas[0]
-        for extra in alphas[1:]:
-            alpha = tape.concat(alpha, extra)
-        alphas = tape.reshape(alpha, (1, len(alphas), -1))
     batch, heads, m = alphas.shape
     n_pos = int(n_pos)
     if not 0 <= n_pos <= m:
         raise ConfigError(f"n_pos={n_pos} out of range for context of size {m}")
-    lead, dim = h_context.shape[:-2], h_context.shape[-1]
+    contexts, dim = h_context.shape[0], h_context.shape[-1]
     width = config.attention_dim // heads
-    k = len(lead)
-    if k:
-        flat = tape.reshape(h_context, (batch * m, dim))
+    flat = tape.reshape(h_context, (contexts * m, dim))
     out = None
     for start, stop, label in ((0, n_pos, "label.pos"), (n_pos, m, "label.neg")):
         n = stop - start
         if n == 0:
             continue
-        if k:
-            picks = (np.arange(batch)[:, None] * m + np.arange(start, stop)).ravel()
-            rows = tape.reshape(tape.take_rows(flat, picks), (batch, n, dim))
-        else:
-            rows = tape.take_rows(h_context, np.arange(start, stop))
+        picks = (np.arange(contexts)[:, None] * m + np.arange(start, stop)).ravel()
+        rows = tape.reshape(tape.take_rows(flat, picks), (contexts, n, dim))
         projected = tape.matmul(tape.add(rows, params[label]), params["attn.value"])
-        # (n, heads, width) -> (heads, n, width) per context: every query and
-        # head is one (n,) @ (n, width) product over strided columns
-        values = tape.transpose(
-            tape.reshape(projected, lead + (n, heads, width)),
-            tuple(range(k)) + (k + 1, k, k + 2),
-        )
+        # (C, n, heads, width) -> (C, heads, n, width): every query and head
+        # is one (n,) @ (n, width) product over strided columns
+        values = tape.transpose(tape.reshape(projected, (contexts, n, heads, width)), (0, 2, 1, 3))
         weights = tape.reshape(tape.slice_last(alphas, start, stop), (batch, heads, 1, n))
         term = tape.matmul(weights, values)
         out = term if out is None else tape.add(out, term)
-    return tape.reshape(out, (heads * width,) if single else (batch, heads * width))
+    return tape.reshape(out, (batch, heads * width))
 
 
 def predict(params: dict, config: ModelConfig, h_tilde: Tensor, tape: Tape) -> Tensor:
     """MLP over contextualized queries, squashed to probabilities in (0, 1):
-    (B, attention_dim) -> (B,); a single (attention_dim,) query gives (1,)."""
-    batch = 1 if h_tilde.values.ndim == 1 else h_tilde.shape[0]
+    (B, attention_dim) -> (B,)."""
+    batch, dim = h_tilde.shape
     # (B, 1, K) stacks: each layer is one vector-matrix product per query
-    z = tape.reshape(h_tilde, (batch, 1, h_tilde.shape[-1]))
+    z = tape.reshape(h_tilde, (batch, 1, dim))
     for layer in range(config.mlp_layers):
         z = tape.add(tape.matmul(z, params[f"mlp.{layer}.w"]), params[f"mlp.{layer}.b"])
         if layer < config.mlp_layers - 1:
@@ -313,7 +297,7 @@ def predict_batch(params: dict, config: ModelConfig, h_query: Tensor, h_context,
                   tape: Tape) -> Tensor:
     """Probabilities (B,) for query embeddings (B, F).
 
-    In icl mode the queries attend over h_context, (B, m, F) or (m, F)
+    In icl mode the queries attend over h_context, (B, m, F) or (1, m, F)
     shared, whose first n_pos members are positives. In no_context mode the
     context is ignored and the value projection applies to each query.
     """
@@ -335,41 +319,27 @@ def _item_probabilities(params, config, pairs, tape) -> Tensor:
     """Probabilities (B,) for (query_sub, context) pairs, in order.
 
     Each distinct subgraph object is encoded once and its row gathered for
-    every use. Items are grouped by context shape (size, n_pos), and each
-    group runs through predict_batch once.
+    every use. In icl mode every context of the batch has the same size and
+    number of positives, and the batch runs through predict_batch once.
     """
-    groups = {}  # (size, n_pos) -> (item positions, query subgraphs, context members)
-    for k, (query_sub, context) in enumerate(pairs):
-        if config.mode == MODE_ICL:
-            if context is None or context.size == 0:
-                raise ConfigError("icl mode requires a non-empty context")
-            key = (context.size, len(context.positives))
-        else:
-            key = (0, 0)
-        positions, queries, members = groups.setdefault(key, ([], [], []))
-        positions.append(k)
-        queries.append(query_sub)
-        if key[0]:
-            members.extend(context.positives)
-            members.extend(context.negatives)
-    unique = {id(sub): sub for _, queries, members in groups.values() for sub in chain(queries, members)}
+    queries = [query_sub for query_sub, _ in pairs]
+    contexts = [context for _, context in pairs] if config.mode == MODE_ICL else []
+    if any(context is None or context.size == 0 for context in contexts):
+        raise ConfigError("icl mode requires a non-empty context")
+    shapes = {(context.size, len(context.positives)) for context in contexts}
+    if len(shapes) > 1:
+        raise ConfigError(f"a batch needs one context shape (size, n_pos), got {sorted(shapes)}")
+    members = [sub for context in contexts for sub in chain(context.positives, context.negatives)]
+    unique = {id(sub): sub for sub in chain(queries, members)}
     rows = {key: i for i, key in enumerate(unique)}
-    subs = list(unique.values())
-    h_all = encode_subgraphs(params, config, subs, tape)
-    probs, order = None, []
-    for (size, n_pos), (positions, queries, members) in groups.items():
-        h_ctx = None
-        if size:
-            picks = [rows[id(sub)] for sub in members]
-            h_ctx = tape.reshape(tape.take_rows(h_all, picks), (len(queries), size, config.hidden_dim))
-        picks = [rows[id(sub)] for sub in queries]
-        p = predict_batch(params, config, tape.take_rows(h_all, picks), h_ctx, n_pos, tape)
-        probs = p if probs is None else tape.concat(probs, p)
-        order.extend(positions)
-    if len(groups) > 1:
-        back = np.argsort(order)
-        probs = tape.reshape(tape.take_rows(tape.reshape(probs, (len(order), 1)), back), (len(order),))
-    return probs
+    h_all = encode_subgraphs(params, config, list(unique.values()), tape)
+    h_ctx, n_pos = None, 0
+    if contexts:
+        size, n_pos = shapes.pop()
+        picks = [rows[id(sub)] for sub in members]
+        h_ctx = tape.reshape(tape.take_rows(h_all, picks), (len(pairs), size, config.hidden_dim))
+    h_query = tape.take_rows(h_all, [rows[id(sub)] for sub in queries])
+    return predict_batch(params, config, h_query, h_ctx, n_pos, tape)
 
 
 def forward(
@@ -397,8 +367,9 @@ def batch_loss(params: dict, config: ModelConfig, items, tape: Tape) -> Tensor:
     """Mean binary cross-entropy over (query_sub, context, label) triples.
 
     The whole batch is one pass: distinct subgraphs encoded once, then
-    attention and prediction over stacked (B, m) context blocks, one block
-    per context shape; the per-item losses add up left to right.
+    attention and prediction over one (B, m, F) context block, so every
+    context must have the same shape; the per-item losses add up left to
+    right.
     """
     if not items:
         raise ConfigError("batch_loss needs at least one item")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Optimizer, Tape, clone_params, step as opt_step
-from .errors import ConfigError, DataError, NumericError, check_int_fields
+from .errors import ConfigError, DataError, NumericError, check_number_fields
 from .graphs import (
     DataSplit,
     Graph,
@@ -114,8 +114,9 @@ class TrainConfig:
     hits_k: int = 50
 
     def __post_init__(self):
-        check_int_fields(self, ("seed", "context_k", "eval_context_size", "batch_size",
-                                "max_epochs", "patience", "per_graph_cap", "hits_k"))
+        check_number_fields(self, ints=("seed", "context_k", "eval_context_size", "batch_size",
+                                        "max_epochs", "patience", "per_graph_cap", "hits_k"),
+                            reals=("lr",))
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
             raise ConfigError("batch_size/patience must be >= 1 and max_epochs >= 0")
         if self.context_k < 1 or self.eval_context_size < 1 or self.per_graph_cap < 1:

@@ -171,7 +171,10 @@ def test_pretrain_rejects_non_integer_config_values(ws, tmp_path):
     base = {"datasets": [{"name": "tri", "split": str(ws / "tri.split.json")}],
             "model": SMALL_ICL.to_dict(), "train": {"max_epochs": 1, "hits_k": 2}}
     bad = [("model", "max_per_hop", 2.5), ("model", "hidden_dim", 8.5),
-           ("train", "batch_size", 2.5), ("train", "context_k", 2.5), ("train", "max_epochs", 1.5)]
+           ("train", "batch_size", 2.5), ("train", "context_k", 2.5), ("train", "max_epochs", 1.5),
+           ("train", "lr", "0.01"), ("train", "lr", True), ("train", "lr", None),
+           ("model", "leaky_slope", "abc"), ("model", "leaky_slope", False),
+           ("model", "leaky_slope", None)]
     for section, key, value in bad:
         doc = {**base, section: {**base[section], key: value}}
         path = tmp_path / "bad.json"

@@ -11,12 +11,10 @@ from unilp.graphs import (
     LatticeSpec,
     SbmSpec,
     UNREACHABLE,
-    bfs_distances,
     canonical_pair,
     count_simple_paths,
     generate_lattice,
     generate_sbm,
-    is_bipartite,
     load_edge_list,
     sample_nonedges,
     save_edge_list,
@@ -121,13 +119,6 @@ def test_lattice_rejects_tiny_and_unknown():
         LatticeSpec(kind="hex", rows=5, cols=5)
 
 
-def test_bipartite_grid_but_not_triangular():
-    assert is_bipartite(lattice("grid", 4, 4))
-    assert is_bipartite(lattice("grid", 4, 4, torus=True))
-    assert not is_bipartite(lattice("grid", 5, 5, torus=True))  # odd wrap cycle
-    assert not is_bipartite(lattice("triangular", 4, 4))
-
-
 def test_sbm_extremes():
     # p_in=1, p_out=0: disjoint cliques
     g = generate_sbm(SbmSpec(block_sizes=(4, 3), p_in=1.0, p_out=0.0), seed=0)
@@ -160,18 +151,9 @@ def test_sbm_deterministic_per_seed():
 
 def test_bfs_and_shortest_path():
     g = lattice("grid", 3, 3)  # nodes r*3+c
-    dist = bfs_distances(g, 0)
-    assert dist[0] == 0 and dist[1] == 1 and dist[4] == 2 and dist[8] == 4
     assert shortest_path(g, 0, 8) == 4
     two_parts = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert shortest_path(two_parts, 0, 3) is UNREACHABLE
-    assert 3 not in bfs_distances(two_parts, 0)
-
-
-def test_bfs_max_depth_cuts_off():
-    g = lattice("grid", 3, 3)
-    dist = bfs_distances(g, 0, max_depth=2)
-    assert max(dist.values()) == 2 and 8 not in dist
 
 
 def brute_simple_paths(g, u, v, k):
@@ -197,13 +179,23 @@ def test_count_simple_paths_small_cases():
 
 
 def test_count_simple_paths_matches_brute_force():
+    linked = 0
     for seed in range(30):
         g = random_graph(7, 0.4, seed)
         rng = derive_rng(seed, "test-pick")
-        u, v = rng.choice(7, size=2, replace=False)
-        u, v = canonical_pair(u, v)
-        for k in (1, 2, 3, 4):
-            assert count_simple_paths(g, u, v, k) == brute_simple_paths(g, u, v, k), (seed, k)
+        pairs = [canonical_pair(*rng.choice(7, size=2, replace=False))]
+        edges = g.edge_array().tolist()
+        if edges:
+            pairs.append(tuple(edges[rng.integers(len(edges))]))  # a linked pair
+        for u, v in pairs:
+            linked += g.has_edge(u, v)
+            for k in (1, 2, 3, 4):
+                count = count_simple_paths(g, u, v, k)
+                assert count == brute_simple_paths(g, u, v, k), (seed, u, v, k)
+                if k >= 2:
+                    # a simple path of 2 or more edges never uses the u-v edge
+                    assert count == count_simple_paths(g.without_edge(u, v), u, v, k), (seed, u, v, k)
+    assert linked >= 30
 
 
 def test_count_simple_paths_guards_length():

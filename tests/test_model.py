@@ -14,7 +14,6 @@ from unilp.model import (
     attention_scores,
     batch_loss,
     contextualize,
-    encode_subgraph,
     encode_subgraphs,
     forward,
     init_params,
@@ -44,6 +43,12 @@ def params():
     return init_params(SMALL, seed=0)
 
 
+def encode_one(params, cfg, sub, tape=None):
+    """One subgraph's embedding as a 1-D tensor of width hidden_dim."""
+    tape = Tape() if tape is None else tape
+    return tape.reshape(encode_subgraphs(params, cfg, [sub], tape), (cfg.hidden_dim,))
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -55,9 +60,11 @@ def test_config_validation_and_round_trip():
         ModelConfig(mode="transductive")
     with pytest.raises(ConfigError):
         ModelConfig(hidden_dim=0)
-    for bad in (dict(hidden_dim=8.5), dict(radius=1.0), dict(dist_cap=True), dict(max_per_hop=2.5)):
+    for bad in (dict(hidden_dim=8.5), dict(radius=1.0), dict(dist_cap=True), dict(max_per_hop=2.5),
+                dict(leaky_slope="abc"), dict(leaky_slope=True), dict(leaky_slope=None)):
         with pytest.raises(ConfigError):
             ModelConfig(**bad)
+    assert ModelConfig(leaky_slope=np.float64(0.2)).leaky_slope == 0.2
     cfg = ModelConfig(hidden_dim=8, heads=2, attention_dim=8)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
@@ -94,8 +101,8 @@ def test_encoding_uses_only_structure_and_labels(params):
     sub_a = labeled_subgraph(p4, (1, 2), radius=1)
     sub_b = labeled_subgraph(p6, (2, 3), radius=1)
     assert sub_a.adj == sub_b.adj and sub_a.labels == sub_b.labels
-    h_a = encode_subgraph(params, SMALL, sub_a)
-    h_b = encode_subgraph(params, SMALL, sub_b)
+    h_a = encode_one(params, SMALL, sub_a)
+    h_b = encode_one(params, SMALL, sub_b)
     assert np.array_equal(h_a.values, h_b.values)
 
 
@@ -105,8 +112,8 @@ def test_encoding_invariant_under_host_relabeling(params):
     perm = derive_rng(1, "test-model-perm").permutation(n)
     h = Graph.from_edges(n, [(int(perm[a]), int(perm[b])) for a, b in g.edge_array().tolist()])
     for u, v in [(0, 1), (3, 20), (7, 8)]:
-        ha = encode_subgraph(params, SMALL, labeled_subgraph(g, (u, v), radius=1))
-        hb = encode_subgraph(params, SMALL, labeled_subgraph(h, (int(perm[u]), int(perm[v])), radius=1))
+        ha = encode_one(params, SMALL, labeled_subgraph(g, (u, v), radius=1))
+        hb = encode_one(params, SMALL, labeled_subgraph(h, (int(perm[u]), int(perm[v])), radius=1))
         assert np.allclose(ha.values, hb.values, rtol=1e-9, atol=1e-12)
 
 
@@ -115,7 +122,7 @@ def test_batched_encoding_matches_and_is_row_independent(params, dataset):
     subs = list(ctx.positives) + list(ctx.negatives)
     tape = Tape()
     batch = encode_subgraphs(params, SMALL, subs, tape).values
-    single = encode_subgraph(params, SMALL, subs[4]).values
+    single = encode_one(params, SMALL, subs[4]).values
     assert np.array_equal(batch[4], single)
     perm = list(derive_rng(2, "test-model-batch").permutation(len(subs)))
     hp = encode_subgraphs(params, SMALL, [subs[i] for i in perm], tape).values
@@ -181,7 +188,7 @@ def test_isolated_targets_encode_without_error(params):
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     sub = labeled_subgraph(g, (0, 1), radius=1)
     assert sub.n == 2 and sub.adj == ((), ())
-    h = encode_subgraph(params, SMALL, sub)
+    h = encode_one(params, SMALL, sub)
     assert np.isfinite(h.values).all()
 
 
@@ -366,46 +373,58 @@ def test_attention_path_matches_per_head_loops_bitwise():
             batched_alpha = attention_scores(params, cfg, const(h_q), const(h_ctx), tape)
             batched_tilde = contextualize(params, cfg, batched_alpha, const(h_ctx), n_pos, tape)
             batched_prob = predict(params, cfg, batched_tilde, tape).values
-            shared_alpha = attention_scores(params, cfg, const(h_q), const(h_ctx[1]), tape).values
+            # one (1, m, F) context shared by all three queries
+            shared_ctx = const(h_ctx[1:2])
+            shared_alpha = attention_scores(params, cfg, const(h_q), shared_ctx, tape)
+            shared_tilde = contextualize(params, cfg, shared_alpha, shared_ctx, n_pos, tape)
+            shared_prob = predict(params, cfg, shared_tilde, tape).values
             for b in range(3):
-                q, ctx = const(h_q[b]), const(h_ctx[b])
-                want_alpha = reference_attention(params, cfg, q, ctx, tape)
-                want_tilde = reference_contextualize(params, cfg, want_alpha, ctx, n_pos, tape)
-                want_prob = reference_predict(params, cfg, want_tilde, tape).values
-                alphas = attention_scores(params, cfg, q, ctx, tape)
-                tilde = contextualize(params, cfg, alphas, ctx, n_pos, tape)
-                assert len(alphas) == heads
+                for got_alpha, got_tilde, got_prob, c in (
+                    (batched_alpha, batched_tilde, batched_prob, b),
+                    (shared_alpha, shared_tilde, shared_prob, 1),
+                ):
+                    q, ctx = const(h_q[b]), const(h_ctx[c])
+                    want_alpha = reference_attention(params, cfg, q, ctx, tape)
+                    want_tilde = reference_contextualize(params, cfg, want_alpha, ctx, n_pos, tape)
+                    want_prob = reference_predict(params, cfg, want_tilde, tape).values
+                    for h in range(heads):
+                        assert np.array_equal(got_alpha.values[b, h], want_alpha[h].values)
+                    assert np.array_equal(got_tilde.values[b], want_tilde.values)
+                    assert got_prob[b] == want_prob[0]
+                # the lone-query form: (F,) against (m, F), one (m,) tensor per head
+                lone = attention_scores(params, cfg, const(h_q[b]), const(h_ctx[b]), tape)
+                assert len(lone) == heads
                 for h in range(heads):
-                    assert np.array_equal(alphas[h].values, want_alpha[h].values)
-                    assert np.array_equal(batched_alpha.values[b, h], want_alpha[h].values)
-                assert np.array_equal(tilde.values, want_tilde.values)
-                assert np.array_equal(batched_tilde.values[b], want_tilde.values)
-                assert np.array_equal(predict(params, cfg, tilde, tape).values, want_prob)
-                assert batched_prob[b] == want_prob[0]
-            want_shared = reference_attention(params, cfg, const(h_q[2]), const(h_ctx[1]), tape)
-            for h in range(heads):
-                assert np.array_equal(shared_alpha[2, h], want_shared[h].values)
+                    assert np.array_equal(lone[h].values, batched_alpha.values[b, h])
+
+
+def test_attention_rejects_other_context_layouts(params):
+    rng = derive_rng(1, "test-attn-layouts")
+    h_q = const(rng.normal(size=(2, 16)))
+    for shape in ((5, 16), (3, 5, 16), (2, 0, 16), (1, 2, 5, 16)):
+        with pytest.raises(ConfigError):
+            attention_scores(params, SMALL, h_q, const(rng.normal(size=shape)), Tape())
 
 
 def reference_batch_loss(params, cfg, items):
-    """Per-query loop over the single-query forms of attention_scores,
-    contextualize and predict: the definition batch_loss must reproduce.
-    Returns (loss, gradients)."""
+    """Per-query loop over reference_attention, reference_contextualize and
+    reference_predict: the definition batch_loss must reproduce. Returns
+    (loss, gradients)."""
     from unilp.autodiff import zero_grad
 
     tape = Tape()
     total = None
     for query_sub, context, label in items:
         if cfg.mode == "no_context":
-            h_tilde = tape.matmul(encode_subgraph(params, cfg, query_sub, tape), params["attn.value"])
+            h_tilde = tape.matmul(encode_one(params, cfg, query_sub, tape), params["attn.value"])
         else:
             subs = [query_sub] + list(context.positives) + list(context.negatives)
             h_all = encode_subgraphs(params, cfg, subs, tape)
             h_q = tape.reshape(tape.take_rows(h_all, [0]), (cfg.hidden_dim,))
             h_ctx = tape.take_rows(h_all, np.arange(1, len(subs)))
-            alphas = attention_scores(params, cfg, h_q, h_ctx, tape)
-            h_tilde = contextualize(params, cfg, alphas, h_ctx, len(context.positives), tape)
-        loss = tape.bce(predict(params, cfg, h_tilde, tape), label)
+            alphas = reference_attention(params, cfg, h_q, h_ctx, tape)
+            h_tilde = reference_contextualize(params, cfg, alphas, h_ctx, len(context.positives), tape)
+        loss = tape.bce(reference_predict(params, cfg, h_tilde, tape), label)
         total = loss if total is None else tape.add(total, loss)
     loss = tape.scale(total, 1.0 / len(items))
     tape.backward(loss)
@@ -434,17 +453,19 @@ def test_batch_loss_matches_per_query_reference(dataset):
     pos = [sub(e) for e in edges[:12]]
     neg = [sub(p) for p in [(0, 20), (1, 30), (2, 40), (3, 50), (4, 60), (5, 33)]]
     shared = ContextSet(positives=tuple(pos[:3]), negatives=tuple(neg[:3]))
-    only_neg = ContextSet(positives=(), negatives=tuple(neg[1:5]))          # n_pos = 0
-    only_pos = ContextSet(positives=tuple(pos[4:9]), negatives=())          # n_pos = m
-    wide = ContextSet(positives=tuple(pos[2:9]), negatives=tuple(neg[:2]))  # overlaps shared
+    overlap = ContextSet(positives=tuple(pos[2:5]), negatives=tuple(neg[1:4]))  # shares members
+    only_neg = ContextSet(positives=(), negatives=tuple(neg[1:5]))
+    only_pos = ContextSet(positives=tuple(pos[4:9]), negatives=())
     queries = [sub((0, 9)), sub((3, 12)), sub(edges[20]), pos[1], neg[4]]
     labels = [1.0, 0.0, 1.0, 1.0, 0.0]
     batches = {
         "single": [(queries[0], shared, 1.0)],
         "repeated context objects": [(q, shared, y) for q, y in zip(queries, labels)],
-        "ragged": [
-            (queries[0], shared, 1.0), (queries[1], only_neg, 0.0), (queries[2], wide, 1.0),
-            (queries[3], only_pos, 1.0), (queries[4], shared, 0.0), (queries[0], wide, 1.0),
+        "n_pos = 0": [(queries[1], only_neg, 0.0), (queries[3], only_neg, 1.0)],
+        "n_pos = m": [(queries[2], only_pos, 1.0), (queries[4], only_pos, 0.0)],
+        "overlapping contexts": [
+            (queries[0], shared, 1.0), (queries[1], overlap, 0.0),
+            (queries[4], shared, 0.0), (queries[0], overlap, 1.0),
         ],
     }
     for cfg, seed in ((SMALL, 0), (multi, 1), (no_ctx, 2)):
@@ -457,6 +478,9 @@ def test_batch_loss_matches_per_query_reference(dataset):
             for pname, want in want_grads.items():
                 gap = np.abs(got_grads[pname] - want).max()
                 assert gap <= 1e-12 * np.abs(want).max(), (cfg.heads, cfg.mode, name, pname, gap)
+    ragged = [(queries[0], shared, 1.0), (queries[1], only_neg, 0.0)]
+    with pytest.raises(ConfigError, match="one context shape"):
+        batch_loss(init_params(SMALL, 0), SMALL, ragged, Tape())
 
 
 def test_batch_loss_encodes_each_subgraph_once_and_tape_does_not_grow(params, dataset):

@@ -213,10 +213,15 @@ def test_train_config_validation():
         dict(context_k=2.0),
         dict(max_epochs=True),
         dict(seed="1"),
+        dict(lr="0.01"),
+        dict(lr=True),
+        dict(lr=None),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
     assert TrainConfig(batch_size=np.int64(4)).batch_size == 4
+    assert TrainConfig(lr=np.float32(0.5)).lr == 0.5
+    assert TrainConfig(lr=1).lr == 1
 
 
 def test_epoch_queries_round_robin():
