@@ -3,8 +3,9 @@
 A `Tape` records every operation; `Tape.backward(loss)` replays the records
 in reverse creation order (a valid reverse-topological order) exactly once
 and accumulates gradients into each tensor's `.grad` slot. Only the ops the
-model needs exist, each with a hand-written pullback; every op output is
-checked for finiteness so numeric blowups surface at their source.
+model needs exist, each with a hand-written pullback; every op that computes
+values checks its output for finiteness, so numeric blowups surface at
+their source (`reshape` and `transpose` only re-view their input's values).
 
 Constant matrices that never need gradients (neighbor-averaging and pooling
 operators) enter through `spmm` as scipy CSR matrices; everything
@@ -15,8 +16,12 @@ The model runs a whole batch of queries through one sequence of ops, so
 also take stacked (N-D) operands, broadcasting leading axes the way numpy
 does, and `transpose` permutes axes. Stacked matmuls call the same BLAS
 routine per stack entry as the 1-D/2-D form would, and reductions run over
-a C-contiguous last axis, so a batched forward pass reproduces the
-per-query values bit for bit.
+a C-contiguous last axis (`dot_rows` as one einsum inner loop per row), so
+a batched forward pass reproduces the per-query values bit for bit.
+
+An op records a pullback only when some operand needs a gradient. Scoring
+wraps the parameters with `const`, so its forward passes record no graph,
+and each intermediate is freed as soon as the next op is done with it.
 """
 
 from __future__ import annotations
@@ -103,9 +108,9 @@ class Tape:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _emit(self, values, parents, pullback, op: str) -> Tensor:
+    def _emit(self, values, parents, pullback, op: str, check: bool = True) -> Tensor:
         values = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(values).all():
+        if check and not np.isfinite(values).all():
             raise NumericError(f"non-finite values produced by {op}")
         out = Tensor(values)
         out._needs = any(p._needs for p in parents)
@@ -230,14 +235,29 @@ class Tape:
         return self._emit(out, (a, b), pull, "concat")
 
     def leaky_relu(self, x: Tensor, slope: float = 0.01) -> Tensor:
+        """x * (1 if x > 0 else slope), for 0 <= slope <= 1.
+
+        The output is max(x, slope * x) and the gradient factor
+        max(x > 0, slope), built only when x needs a gradient: for such
+        slopes both give the bits of the factor form (also for x = -0.0),
+        without the per-element branches of a select on the sign of x.
+        """
+        slope = float(slope)
+        if not 0.0 <= slope <= 1.0:
+            raise ConfigError(f"leaky_relu slope must be in [0, 1], got {slope}")
         xv = x.values
-        factor = np.where(xv > 0, 1.0, float(slope))
+        out = np.multiply(xv, slope)
+        np.maximum(xv, out, out=out)
+        # made here and kept for the pullback: building it inside the
+        # pullback frees memory earlier, and warm pretraining epochs then
+        # slowed down through twice the page faults
+        factor = np.maximum(xv > 0, slope) if x._needs else None
 
         def pull(g):
             if x._needs:
                 _accumulate(x, g * factor)
 
-        return self._emit(xv * factor, (x,), pull, "leaky_relu")
+        return self._emit(out, (x,), pull, "leaky_relu")
 
     def sigmoid(self, x: Tensor) -> Tensor:
         xv = x.values
@@ -275,10 +295,10 @@ class Tape:
         """Dot product over the last axis, v broadcast against x's trailing
         axes: (m, k) . (k,) -> (m,), or (B, m, H, k) . (H, k) -> (B, m, H).
 
-        Unlike matmul this reduces every row with the same summation tree,
-        so each output element depends only on its own row: permuting the
-        rows of x permutes the result bit-exactly (BLAS matvec kernels do
-        not guarantee that).
+        Unlike matmul this reduces every row with the same summation tree
+        (one einsum inner loop over the last axis), so each output element
+        depends only on its own row: permuting the rows of x permutes the
+        result bit-exactly (BLAS matvec kernels do not guarantee that).
         """
         xv, vv = x.values, v.values
         if vv.ndim == 0 or xv.ndim < vv.ndim or xv.shape[xv.ndim - vv.ndim:] != vv.shape:
@@ -290,10 +310,11 @@ class Tape:
             if v._needs:
                 _accumulate(v, _unbroadcast(g[..., None] * xv, vv.shape))
 
-        return self._emit((xv * vv).sum(axis=-1), (x, v), pull, "dot_rows")
+        return self._emit(np.einsum("...k,...k->...", xv, vv), (x, v), pull, "dot_rows")
 
     def transpose(self, x: Tensor, axes) -> Tensor:
-        """Permute axes (a view; the gradient permutes back)."""
+        """Permute axes (a view; the gradient permutes back). Like reshape,
+        it makes no values, so its output is not checked again."""
         axes = tuple(int(a) for a in axes)
         if sorted(axes) != list(range(x.values.ndim)):
             raise ConfigError(f"transpose axes {axes} invalid for shape {x.shape}")
@@ -303,7 +324,7 @@ class Tape:
             if x._needs:
                 _accumulate(x, g.transpose(inverse))
 
-        return self._emit(x.values.transpose(axes), (x,), pull, "transpose")
+        return self._emit(x.values.transpose(axes), (x,), pull, "transpose", check=False)
 
     def take_rows(self, x: Tensor, indices) -> Tensor:
         """Gather rows of a matrix; the gradient scatter-adds back."""
@@ -345,7 +366,7 @@ class Tape:
             if x._needs:
                 _accumulate(x, g.reshape(x.values.shape))
 
-        return self._emit(x.values.reshape(shape), (x,), pull, "reshape")
+        return self._emit(x.values.reshape(shape), (x,), pull, "reshape", check=False)
 
     def spmm(self, s, x: Tensor) -> Tensor:
         """Multiply by a constant scipy CSR matrix (no gradient through s)."""
@@ -421,8 +442,8 @@ class Optimizer:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.kind!r}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
 
 
 def zero_grad(params: dict):

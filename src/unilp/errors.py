@@ -4,6 +4,7 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies rather than bare ValueError.
 """
 
+import math
 from numbers import Integral, Real
 
 
@@ -25,10 +26,12 @@ class NumericError(UnilpError):
 
 def check_number_fields(config, ints=(), reals=()) -> None:
     """ConfigError unless each field of config named in ints holds an
-    integer and each named in reals a real number. A bool counts as neither,
-    a float such as 2.0 is not an integer, and NumPy numbers count."""
-    for names, kind, noun in ((ints, Integral, "an integer"), (reals, Real, "a real number")):
+    integer and each named in reals a finite real number. A bool counts as
+    neither, a float such as 2.0 is not an integer, NaN and infinities are
+    rejected, and NumPy numbers count."""
+    for names, kind, noun in ((ints, Integral, "an integer"), (reals, Real, "a finite real number")):
         for name in names:
             value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or (kind is Real and not math.isfinite(value))):
                 raise ConfigError(f"{name} must be {noun}, got {value!r}")

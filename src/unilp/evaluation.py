@@ -197,10 +197,15 @@ def _encode_context_values(params, config, context):
         return None, 0
     if context is None or context.size == 0:
         raise ConfigError("in-context scoring needs a non-empty context")
-    tape = Tape()
     subs = list(context.positives) + list(context.negatives)
-    h = encode_subgraphs(params, config, subs, tape)
-    return h.values.reshape((1,) + h.shape).copy(), len(context.positives)
+    h = encode_subgraphs(params, config, subs, Tape())
+    return h.values.reshape((1,) + h.shape), len(context.positives)
+
+
+def _constants(param_values: dict) -> dict:
+    """Parameter values as constants, so scoring records no backward graph
+    and frees each intermediate as soon as the next op is done with it."""
+    return {name: const(values) for name, values in param_values.items()}
 
 
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
@@ -218,7 +223,7 @@ def _worker_init(param_values, config_dict, split_dict, name, ctx_values, n_ctx_
     from .graphs import DataSplit
     from .training import LinkDataset
 
-    _WORKER_STATE["params"] = {k: const(v) for k, v in param_values.items()}
+    _WORKER_STATE["params"] = _constants(param_values)
     _WORKER_STATE["config"] = ModelConfig.from_dict(config_dict)
     _WORKER_STATE["dataset"] = LinkDataset(name=name, split=DataSplit.from_json_dict(split_dict))
     _WORKER_STATE["ctx"] = (ctx_values, n_ctx_pos)
@@ -236,13 +241,17 @@ def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs:
     """Probability per query pair, in order.
 
     The context is embedded once; queries are scored in fixed-size chunks so
-    the result is bit-identical whatever `jobs` is.
+    the result is bit-identical whatever `jobs` is. In process and in
+    workers alike, the parameters enter as constants: scoring records no
+    backward graph and never touches a parameter's gradient.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     pairs = [canonical_pair(*p) for p in pairs]
     if not pairs:
         return np.zeros(0, dtype=np.float64)
+    param_values = {name: t.values for name, t in params.items()}
+    params = _constants(param_values)
     ctx_values, n_ctx_pos = _encode_context_values(params, config, context)
     chunks = [pairs[lo : lo + SCORE_CHUNK] for lo in range(0, len(pairs), SCORE_CHUNK)]
     if jobs == 1 or len(chunks) <= 1:
@@ -254,7 +263,7 @@ def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs:
         max_workers=min(jobs, len(chunks)),
         initializer=_worker_init,
         initargs=(
-            {k: t.values for k, t in params.items()},
+            param_values,
             config.to_dict(), dataset.split.to_json_dict(), dataset.name,
             ctx_values, n_ctx_pos,
         ),

@@ -15,11 +15,17 @@ Training, scoring and the single-query `forward` share one batched path,
 over a context block (C, m, F). C is B in training and `forward`, one
 context per query, and every context of a batch has the same size and
 number of positives; C is 1 in scoring, one context that broadcasts to all
-queries. Attention, contextualization and the MLP each run once per batch,
-as stacked tensor ops whose every stack entry makes the same BLAS call and
-the same reduction a single query would, so a query's probability does not
-depend on the batch it is scored in. `batch_loss` encodes each distinct
-subgraph object of a batch once and gathers rows for repeats.
+queries. Attention, contextualization and the MLP each run once per batch.
+The attention key of member i is leaky_relu([h_q, h_i] @ attn.key), with
+attn.key one (2F, F') parameter: its query half is applied to each query as
+a (1, F) row, its context half to each context as one (m, F) gemm (once per
+batch when the context is shared), and the two are summed by broadcasting
+over the (B, m, F') key block. Every other op is a stack whose entries make
+the same BLAS call and the same reduction a single query would, or is
+elementwise, so a query's probability does not depend on the batch it is
+scored in, and permuting a context permutes its attention weights bit for
+bit. `batch_loss` encodes each distinct subgraph object of a batch once and
+gathers rows for repeats.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ class ModelConfig:
     hop keeps at most max_per_hop new nodes, drawn from a stream seeded by
     the pair alone, so training, validation and scoring extract the same
     subgraph for the same pair. Integer fields reject non-int values, and
-    leaky_slope rejects anything but a real number.
+    leaky_slope must be a real number in [0, 1].
     """
 
     hidden_dim: int = 32
@@ -76,6 +82,8 @@ class ModelConfig:
                             reals=("leaky_slope",))
         if any(getattr(self, name) < 1 for name in dims):
             raise ConfigError(f"all model dimensions must be >= 1: {self}")
+        if not 0 <= self.leaky_slope <= 1:
+            raise ConfigError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
         if self.attention_dim % self.heads != 0:
             raise ConfigError(
                 f"heads={self.heads} must divide attention_dim={self.attention_dim}"
@@ -230,10 +238,14 @@ def attention_scores(params: dict, config: ModelConfig, h_query: Tensor, h_conte
         raise ConfigError(f"attention needs a (C, m, F) context with m >= 1, got {h_context.shape}")
     if h_context.shape[0] not in (1, batch):
         raise ConfigError(f"{batch} queries but {h_context.shape[0]} contexts")
-    m = h_context.shape[1]
-    # each query's (m, 2F) key input is one gemm, as for a lone query
-    keys_in = tape.concat(tape.reshape(h_query, (batch, 1, h_query.shape[-1])), h_context)
-    z = tape.leaky_relu(tape.matmul(keys_in, params["attn.key"]), config.leaky_slope)
+    m, dim = h_context.shape[1], h_query.shape[-1]
+    # a member's key input is [h_query, h_member] @ attn.key: the two halves
+    # are projected apart, each query once as a (1, F) row and each context
+    # once as an (m, F) gemm, and summed by broadcasting over (B, m, F')
+    key = params["attn.key"]
+    query_key = tape.matmul(tape.reshape(h_query, (batch, 1, dim)), tape.take_rows(key, np.arange(dim)))
+    context_key = tape.matmul(h_context, tape.take_rows(key, np.arange(dim, 2 * dim)))
+    z = tape.leaky_relu(tape.add(query_key, context_key), config.leaky_slope)
     # dot_rows keeps each member's score independent of the others, so
     # reordering the context permutes the weights bit-exactly
     scores = tape.dot_rows(

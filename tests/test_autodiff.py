@@ -103,6 +103,26 @@ def test_leaky_relu_values_and_gradient():
     assert err < GRAD_TOL
 
 
+def test_leaky_relu_matches_factor_form_bitwise():
+    rng = derive_rng(0, "test-leaky-bits")
+    x = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300],
+        rng.normal(size=200) * 10.0 ** rng.integers(-12, 12, size=200),
+    ])
+    g = rng.normal(size=x.size)
+    for slope in (0.0, 0.01, 0.2, 1 / 3, 1.0):
+        factor = np.where(x > 0, 1.0, slope)
+        tape = Tape()
+        xt = param(x.copy())
+        y = tape.leaky_relu(xt, slope)
+        assert y.values.tobytes() == (x * factor).tobytes(), slope  # signs of zeros too
+        y._pullback(g)
+        assert xt.grad.tobytes() == (g * factor).tobytes(), slope
+    for slope in (-0.01, 1.5, math.nan):
+        with pytest.raises(ConfigError):
+            Tape().leaky_relu(param(x), slope)
+
+
 def test_sigmoid_values_stable_at_extremes():
     tape = Tape()
     y = tape.sigmoid(param(np.array([-800.0, 0.0, 800.0])))
@@ -282,6 +302,20 @@ def test_stacked_dot_rows_and_softmax_match_rows():
             assert np.array_equal(out[b, :, h], want)
     with pytest.raises(ConfigError):
         Tape().dot_rows(param(np.ones((3, 4))), param(np.ones((2, 4))))
+    # the attention layout at head width 12: every (b, h) column equals its
+    # (m, k) . (k,) form, and permuting the rows permutes it bit for bit
+    rng = derive_rng(1, "test-dot-rows-width")
+    x = rng.normal(size=(3, 50, 4, 12)) * 10.0 ** rng.integers(-6, 6, size=(3, 50, 4, 1))
+    v = rng.normal(size=(4, 12))
+    out = Tape().dot_rows(const(x), const(v)).values
+    perm = rng.permutation(50)
+    moved = Tape().dot_rows(const(x[:, perm]), const(v)).values
+    assert np.array_equal(moved, out[:, perm])
+    for b in range(3):
+        for h in range(4):
+            want = Tape().dot_rows(const(x[b, :, h]), const(v[h])).values
+            assert np.array_equal(out[b, :, h], want)
+    assert np.allclose(out, (x * v).sum(axis=-1), rtol=1e-13, atol=0)
     s = safe_values((2, 3, 5), 5)
     err = check_gradients(lambda ps, t: flatten(t, t.softmax(ps["s"])), {"s": param(s)})
     assert err < GRAD_TOL
@@ -382,8 +416,9 @@ def test_step_is_atomic_on_value_overflow():
 def test_optimizer_validation():
     with pytest.raises(ConfigError):
         Optimizer(kind="rmsprop", lr=0.1)
-    with pytest.raises(ConfigError):
-        Optimizer(kind="sgd", lr=0.0)
+    for lr in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            Optimizer(kind="sgd", lr=lr)
 
 
 # ---------------------------------------------------------------------------

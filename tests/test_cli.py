@@ -174,7 +174,10 @@ def test_pretrain_rejects_non_integer_config_values(ws, tmp_path):
            ("train", "batch_size", 2.5), ("train", "context_k", 2.5), ("train", "max_epochs", 1.5),
            ("train", "lr", "0.01"), ("train", "lr", True), ("train", "lr", None),
            ("model", "leaky_slope", "abc"), ("model", "leaky_slope", False),
-           ("model", "leaky_slope", None)]
+           ("model", "leaky_slope", None), ("train", "lr", float("nan")),
+           ("train", "lr", float("inf")), ("model", "leaky_slope", float("nan")),
+           ("model", "leaky_slope", -float("inf")), ("model", "leaky_slope", -0.5),
+           ("model", "leaky_slope", 2.0)]
     for section, key, value in bad:
         doc = {**base, section: {**base[section], key: value}}
         path = tmp_path / "bad.json"
@@ -192,6 +195,10 @@ def test_finetune_command(ws, tmp_path, capsys):
     assert text.startswith("finetuned 3 steps on 5 links; final loss ")
     _, params = load_checkpoint(out)
     assert params
+    for lr in ("nan", "inf"):  # a bad config, exit 1, before any step runs
+        assert main(["finetune", "--checkpoint", str(ws / "plain.ckpt.json"),
+                     "--split", str(ws / "tri.split.json"), "--n-links", "5",
+                     "--steps", "3", "--lr", lr, "--out", str(out)]) == 1, lr
 
 
 def test_finetune_zero_steps(ws, tmp_path, capsys):

@@ -230,6 +230,34 @@ def test_score_pairs_parallel_matches_serial(tri_dataset):
     assert ((serial > 0) & (serial < 1)).all()
 
 
+def test_score_pairs_is_chunk_independent_and_records_no_graph(tri_dataset, monkeypatch):
+    import unilp.evaluation as evaluation
+
+    tapes = []
+
+    class RecordingTape(evaluation.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(evaluation, "Tape", RecordingTape)
+    # four heads of width 12, as in the criterion-5 config
+    cfg = ModelConfig(hidden_dim=48, attention_dim=48, embed_dim=48, encoder_layers=2,
+                      mlp_layers=2, mlp_hidden=48, heads=4)
+    params = init_params(cfg, seed=2)
+    ctx = sample_context(tri_dataset, k=10, seed=3)
+    pairs = list(itertools.combinations(range(36), 2))[:70]  # chunks of 64 and 6
+    scores = score_pairs(params, cfg, tri_dataset, pairs, ctx)
+    for i in (0, 17, 63, 64, 69):
+        assert score_pairs(params, cfg, tri_dataset, [pairs[i]], ctx)[0] == scores[i], i
+    assert np.array_equal(score_pairs(params, cfg, tri_dataset, pairs[::-1], ctx), scores[::-1])
+    plain = init_params(SMALL_PLAIN, seed=0)
+    score_pairs(plain, SMALL_PLAIN, tri_dataset, pairs, None)
+    assert tapes and all(not tape._nodes for tape in tapes)
+    for name, t in list(params.items()) + list(plain.items()):
+        assert t.grad is None, name
+
+
 def test_score_pairs_canonicalizes_and_validates(tri_dataset):
     params = init_params(SMALL_PLAIN, seed=0)
     fwd = score_pairs(params, SMALL_PLAIN, tri_dataset, [(0, 1), (2, 5)])

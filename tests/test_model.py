@@ -61,10 +61,13 @@ def test_config_validation_and_round_trip():
     with pytest.raises(ConfigError):
         ModelConfig(hidden_dim=0)
     for bad in (dict(hidden_dim=8.5), dict(radius=1.0), dict(dist_cap=True), dict(max_per_hop=2.5),
-                dict(leaky_slope="abc"), dict(leaky_slope=True), dict(leaky_slope=None)):
+                dict(leaky_slope="abc"), dict(leaky_slope=True), dict(leaky_slope=None),
+                dict(leaky_slope=float("nan")), dict(leaky_slope=float("inf")),
+                dict(leaky_slope=-float("inf")), dict(leaky_slope=-0.01), dict(leaky_slope=1.5)):
         with pytest.raises(ConfigError):
             ModelConfig(**bad)
     assert ModelConfig(leaky_slope=np.float64(0.2)).leaky_slope == 0.2
+    assert ModelConfig(leaky_slope=0).leaky_slope == 0 and ModelConfig(leaky_slope=1.0).leaky_slope == 1
     cfg = ModelConfig(hidden_dim=8, heads=2, attention_dim=8)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
@@ -316,21 +319,37 @@ def test_batch_loss_matches_individual_losses(params, dataset):
         t = Tape()
         prob = forward(params, SMALL, dataset.observed, q, ctx, tape=t)
         singles.append(t.bce(prob, y).item())
-    assert batched == float(np.mean(singles))
+    # Tape.bce sums left to right, then scales by 1/n (np.mean divides by n)
+    assert batched == float(np.cumsum(singles)[-1] * (1.0 / len(singles)))
+
+
+def per_head_weights(cfg, z, attn_vec, tape):
+    width = cfg.attention_dim // cfg.heads
+    return [
+        tape.softmax(tape.dot_rows(
+            tape.slice_last(z, lo, lo + width), tape.slice_last(attn_vec, lo, lo + width)
+        ))
+        for lo in range(0, cfg.attention_dim, width)
+    ]
 
 
 def reference_attention(params, cfg, h_q, h_ctx, tape):
     """Per-head loop over 1-D and 2-D tape ops: the definition of the
-    attention weights of one query."""
-    m, width = h_ctx.values.shape[0], cfg.attention_dim // cfg.heads
+    attention weights of one query. Member i's key is
+    leaky_relu(h_q @ key[:F] + h_ctx[i] @ key[F:])."""
+    dim, key = cfg.hidden_dim, params["attn.key"]
+    query_key = tape.matmul(tape.reshape(h_q, (1, dim)), tape.take_rows(key, np.arange(dim)))  # (1, F')
+    context_key = tape.matmul(h_ctx, tape.take_rows(key, np.arange(dim, 2 * dim)))  # (m, F')
+    z = tape.leaky_relu(tape.add(query_key, context_key), cfg.leaky_slope)
+    return per_head_weights(cfg, z, params["attn.vec"], tape)
+
+
+def concat_form_attention(params, cfg, h_q, h_ctx, tape):
+    """The same weights from one (m, 2F) @ (2F, F') product over the
+    concatenated key inputs [h_q, h_ctx[i]]; equal up to rounding."""
     keys_in = tape.concat(tape.reshape(h_q, (1, cfg.hidden_dim)), h_ctx)  # (m, 2F)
     z = tape.leaky_relu(tape.matmul(keys_in, params["attn.key"]), cfg.leaky_slope)
-    return [
-        tape.softmax(tape.dot_rows(
-            tape.slice_last(z, lo, lo + width), tape.slice_last(params["attn.vec"], lo, lo + width)
-        ))
-        for lo in range(0, cfg.attention_dim, width)
-    ]
+    return per_head_weights(cfg, z, params["attn.vec"], tape)
 
 
 def reference_contextualize(params, cfg, alphas, h_ctx, n_pos, tape):
@@ -387,8 +406,11 @@ def test_attention_path_matches_per_head_loops_bitwise():
                     want_alpha = reference_attention(params, cfg, q, ctx, tape)
                     want_tilde = reference_contextualize(params, cfg, want_alpha, ctx, n_pos, tape)
                     want_prob = reference_predict(params, cfg, want_tilde, tape).values
+                    concat_alpha = concat_form_attention(params, cfg, q, ctx, tape)
                     for h in range(heads):
                         assert np.array_equal(got_alpha.values[b, h], want_alpha[h].values)
+                        gap = np.abs(want_alpha[h].values - concat_alpha[h].values)
+                        assert (gap <= 1e-12 * concat_alpha[h].values).all()
                     assert np.array_equal(got_tilde.values[b], want_tilde.values)
                     assert got_prob[b] == want_prob[0]
                 # the lone-query form: (F,) against (m, F), one (m,) tensor per head

@@ -216,6 +216,10 @@ def test_train_config_validation():
         dict(lr="0.01"),
         dict(lr=True),
         dict(lr=None),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+        dict(lr=-float("inf")),
+        dict(lr=np.float64("nan")),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
