@@ -2,9 +2,11 @@
 
 Graphs are simple (no self-loops, no multi-edges) over dense 0-based node
 ids, stored in compressed row form with each neighbor list sorted. All other
-modules treat `Graph` as read-only. Derived state that never changes (the
-edge array, the non-edge pools of `sample_nonedges`) is cached on the graph
-and dies with it. Subgraph extraction masks a target edge while it walks the
+modules treat `Graph` as read-only. A pair u < v is numbered by
+`pair_index`, its position in the lexicographic list of all pairs. Derived
+state that never changes (the edge array and its pair indices, the
+forbidden pair indices of `sample_nonedges`) is cached on the graph and
+dies with it. Subgraph extraction masks a target edge while it walks the
 graph (see labeling); `Graph.without_edge` builds an explicit copy without
 one edge, for callers that need a whole graph.
 """
@@ -36,6 +38,12 @@ MAX_SIMPLE_PATH_LEN = 6
 #: Above this many candidate pairs, exhaustive pair enumeration is refused
 #: (see evaluation.verify_connectivity_pattern).
 PAIR_ENUMERATION_GUARD = 50_000
+
+
+def pair_index(n: int, u, v):
+    """Position of the pair u < v in the lexicographic list of all pairs of
+    n nodes; elementwise on arrays."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
 def canonical_pair(u: int, v: int) -> tuple[int, int]:
@@ -73,8 +81,9 @@ class Graph:
         if n < 0:
             raise ConfigError("node count must be non-negative")
         pairs = sorted(set(canonical_pair(u, v) for u, v in edges))
-        if pairs and (pairs[0][0] < 0 or pairs[-1][1] >= n):
-            raise DataError(f"edge endpoints must lie in [0, {n}); got {pairs[0]}..{pairs[-1]}")
+        bad = [p for p in pairs if p[0] < 0 or p[1] >= n]
+        if bad:
+            raise DataError(f"edge endpoints must lie in [0, {n}); got {bad[0]}")
         deg = np.zeros(n, dtype=np.int64)
         for u, v in pairs:
             deg[u] += 1
@@ -122,16 +131,16 @@ class Graph:
         return self._edge_array
 
     def edge_codes(self) -> np.ndarray:
-        """Pair codes u*n+v of edge_array(), ascending (same order)."""
+        """pair_index of each edge_array() row, ascending (same order)."""
         if self._edge_codes is None:
             arr = self.edge_array()
-            codes = arr[:, 0] * self.n + arr[:, 1]
+            codes = pair_index(self.n, arr[:, 0], arr[:, 1])
             codes.flags.writeable = False
             self._edge_codes = codes
         return self._edge_codes
 
     def edge_set(self) -> frozenset:
-        return frozenset(map(tuple, self.edge_array()))
+        return frozenset(map(tuple, self.edge_array().tolist()))
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """Copy of this graph with edge (u, v) removed; self if absent."""
@@ -339,34 +348,28 @@ def count_simple_paths(g: Graph, u: int, v: int, edge_len: int) -> int:
 #: and evaluation use one or two.
 NONEDGE_POOLS_PER_GRAPH = 4
 
-#: Graphs with up to this many node pairs draw non-edges from an array of
-#: every allowed pair; larger ones draw by rejection against a forbidden set.
-DENSE_PAIR_LIMIT = 200_000
-
 
 def _nonedge_pool(g: Graph, exclude) -> tuple:
-    """(pool, n_excluded), cached on g per exclude set (a frozenset is its
-    own key); n_excluded counts the exclude pairs that are not edges.
+    """(forbidden, gaps, starts), cached on g per exclude set (a frozenset
+    is its own key); the pool of allowed pairs itself is never built.
 
-    With at most DENSE_PAIR_LIMIT pairs, pool is the sorted array of codes
-    u*n+v of every pair u < v that is neither an edge of g nor excluded;
-    above it, pool is the frozenset of forbidden pairs (edges and excluded
-    pairs) that rejection sampling avoids."""
+    `forbidden` holds the sorted pair indices of the edges and the excluded
+    non-edges; gaps[i] = forbidden[i] - i counts the allowed pairs below
+    forbidden[i], so pool position k is pair index k + #{i : gaps[i] <= k}.
+    starts[u] is the pair index of (u, u + 1), where row u begins."""
     key = exclude if isinstance(exclude, frozenset) else frozenset(map(tuple, exclude))
     entry = g._nonedge_pools.get(key)
     if entry is None:
         n = g.n
-        edge_set = g.edge_set()
-        excluded = {canonical_pair(u, v) for u, v in key} - edge_set
-        if n * (n - 1) // 2 <= DENSE_PAIR_LIMIT:
-            forbidden = [u * n + v for u, v in edge_set | excluded if v < n]
-            iu, iv = np.triu_indices(n, k=1)
-            # codes of all pairs ascend in lexicographic pair order
-            pool = np.setdiff1d(iu * n + iv, np.array(forbidden, dtype=np.int64), assume_unique=True)
-            pool.flags.writeable = False
-        else:
-            pool = edge_set | excluded
-        entry = (pool, len(excluded))
+        excluded = {canonical_pair(u, v) for u, v in key} - g.edge_set()
+        bad = sorted(p for p in excluded if p[0] < 0 or p[1] >= n)
+        if bad:
+            raise ConfigError(f"exclude pair {bad[0]} out of range for graph with n={n}")
+        excluded_codes = np.array([pair_index(n, u, v) for u, v in excluded], dtype=np.int64)
+        forbidden = np.sort(np.concatenate([g.edge_codes(), excluded_codes]))
+        gaps = forbidden - np.arange(len(forbidden))
+        nodes = np.arange(n, dtype=np.int64)
+        entry = (forbidden, gaps, pair_index(n, nodes, nodes + 1))
         if len(g._nonedge_pools) >= NONEDGE_POOLS_PER_GRAPH:
             g._nonedge_pools.pop(next(iter(g._nonedge_pools)))
         g._nonedge_pools[key] = entry
@@ -376,30 +379,29 @@ def _nonedge_pool(g: Graph, exclude) -> tuple:
 def sample_nonedges(g: Graph, count: int, seed: int, exclude=(), query=None) -> list:
     """Uniform sample (without replacement) of node pairs that are neither
     edges of g nor members of exclude (nor the pair `query`, if given).
-    Deterministic per seed. Up to DENSE_PAIR_LIMIT pairs the draw indexes
-    the lexicographic list of allowed pairs; above it, pairs are drawn by
-    rejection. Either way the pool or forbidden set is built once per
-    (graph, exclude set) and cached on g; the query is handled per call."""
+
+    Deterministic per seed: the draw picks positions in the lexicographic
+    list of allowed pairs, mapped to pairs through the forbidden pair
+    indices cached on g per exclude set (see _nonedge_pool), so memory is
+    O(n + edges + excluded), never O(n²). Exclude pairs and the query must
+    lie in [0, n)."""
     count = int(count)
     if count < 0:
         raise ConfigError("count must be non-negative")
     if count == 0:
         return []
     n = g.n
-    pool, n_excluded = _nonedge_pool(g, exclude)
-    dense = n * (n - 1) // 2 <= DENSE_PAIR_LIMIT
-    taken = set()  # pairs rejection sampling must skip beyond the forbidden set
+    forbidden, gaps, starts = _nonedge_pool(g, exclude)
+    n_excluded = len(forbidden) - g.edge_count
+    skip = None  # pool position of the query, if it is an allowed pair
     if query is not None:
         a, b = canonical_pair(*query)
         if a < 0 or b >= n:
             raise ConfigError(f"query {query} out of range for graph with n={n}")
-        if dense:
-            i = int(np.searchsorted(pool, a * n + b))
-            if i < len(pool) and pool[i] == a * n + b:
-                pool = np.delete(pool, i)
-                n_excluded += 1
-        elif (a, b) not in pool:
-            taken.add((a, b))
+        code = pair_index(n, a, b)
+        i = int(np.searchsorted(forbidden, code))
+        if i == len(forbidden) or forbidden[i] != code:
+            skip = code - i
             n_excluded += 1
     capacity = n * (n - 1) // 2 - g.edge_count - n_excluded
     if count > capacity:
@@ -407,28 +409,13 @@ def sample_nonedges(g: Graph, count: int, seed: int, exclude=(), query=None) -> 
             f"requested {count} non-edges but only {capacity} exist "
             f"(n={n}, edges={g.edge_count}, excluded={n_excluded})"
         )
-    rng = derive_rng(seed, "nonedges", count)
-    if dense:
-        picks = rng.choice(len(pool), size=count, replace=False)
-        return [divmod(code, n) for code in pool[picks].tolist()]
-    # sparse regime: rejection sampling
-    out = []
-    attempts = 0
-    limit = 200 * count + 10_000
-    while len(out) < count:
-        if attempts >= limit:
-            raise DataError("non-edge rejection sampling exceeded attempt budget")
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        attempts += 1
-        if u == v:
-            continue
-        pair = (u, v) if u < v else (v, u)
-        if pair in pool or pair in taken:
-            continue
-        taken.add(pair)
-        out.append(pair)
-    return out
+    picks = derive_rng(seed, "nonedges", count).choice(capacity, size=count, replace=False)
+    if skip is not None:
+        picks += picks >= skip
+    codes = picks + np.searchsorted(gaps, picks, side="right")
+    u = np.searchsorted(starts, codes, side="right") - 1
+    v = codes - starts[u] + u + 1
+    return list(zip(u.tolist(), v.tolist()))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .graphs import (
     DataSplit,
     Graph,
     derive_seed_int,
+    pair_index,
     sample_nonedges,
     split_edges,
     write_text_atomic,
@@ -171,7 +172,7 @@ def sample_context_pairs(g: Graph, n_pos: int, n_neg: int, seed: int, exclude=No
     skip = len(edges)  # position of the query among the edges, if it is one
     if exclude is not None:
         exclude = (min(exclude), max(exclude))
-        code = exclude[0] * g.n + exclude[1]
+        code = pair_index(g.n, *exclude)
         i = int(np.searchsorted(codes, code))
         if i < len(codes) and codes[i] == code:
             skip = i

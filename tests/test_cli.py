@@ -108,6 +108,16 @@ def test_heuristic_katz_flags(ws, capsys):
     assert capsys.readouterr().out.startswith("katz hits@21 ")
 
 
+def test_heuristic_rejects_split_with_out_of_range_endpoint(tmp_path, capsys):
+    split = tmp_path / "bad.split.json"
+    split.write_text(json.dumps({
+        "seed": 0, "id_map": list(range(6)), "observed": [[0, 9], [1, 2]],
+        "valid_pos": [], "valid_neg": [], "test_pos": [[1, 2]], "test_neg": [[2, 3]],
+    }))
+    assert main(["heuristic", "--kind", "cn", "--split", str(split)]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_label_command(ws, capsys):
     assert main(["label", "--edges", str(ws / "tri.edges"), "--u", "0", "--v", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -69,12 +69,16 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(DataError):
         Graph.from_edges(3, [(-1, 2)])
+    # the bad endpoint need not sit in the lexicographically last pair
+    with pytest.raises(DataError):
+        Graph.from_edges(50, [(0, 99), (1, 2)])
 
 
 def test_edge_array_is_sorted_and_frozen():
     g = Graph.from_edges(5, [(3, 4), (0, 2), (0, 1)])
     arr = g.edge_array()
     assert arr.tolist() == [[0, 1], [0, 2], [3, 4]]
+    assert g.edge_codes().tolist() == [0, 1, 9]  # of the 10 pairs, (3, 4) is last
     with pytest.raises(ValueError):
         arr[0, 0] = 9
 
@@ -287,16 +291,19 @@ def test_sample_nonedges_exhausts_capacity_exactly():
         sample_nonedges(tri, 4, seed=0)
 
 
+def reference_nonedge_pool(g, exclude=()):
+    """Every pair u < v, in lexicographic order, that is neither an edge of g
+    nor excluded."""
+    forbidden = g.edge_set() | {canonical_pair(u, v) for u, v in exclude}
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in forbidden]
+
+
 def reference_sample_nonedges(g, count, seed, exclude=()):
     """The list-comprehension pool, rebuilt on every call: the definition the
-    cached pool must reproduce draw for draw."""
-    edge_set = g.edge_set()
-    excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
-    capacity = g.n * (g.n - 1) // 2 - g.edge_count - len(excluded)
-    if count > capacity:
+    cached forbidden indices must reproduce draw for draw."""
+    pool = reference_nonedge_pool(g, exclude)
+    if count > len(pool):
         raise DataError("over capacity")
-    forbidden = edge_set | excluded
-    pool = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in forbidden]
     picks = derive_rng(seed, "nonedges", count).choice(len(pool), size=count, replace=False)
     return [pool[i] for i in picks]
 
@@ -325,52 +332,38 @@ def test_sample_nonedges_matches_reference_pool_cold_and_warm():
         assert len(g._nonedge_pools) <= 4
 
 
-def reference_rejection_nonedges(g, count, seed, exclude=(), query=None):
-    """Rejection sampling with the forbidden set rebuilt on every call: the
-    definition the cached forbidden set must reproduce draw for draw."""
-    if query is not None:
-        exclude = set(map(tuple, exclude)) | {tuple(query)}
-    edge_set = g.edge_set()
-    excluded = {canonical_pair(u, v) for u, v in exclude} - edge_set
-    capacity = g.n * (g.n - 1) // 2 - g.edge_count - len(excluded)
-    if count > capacity:
-        raise DataError("over capacity")
-    forbidden = edge_set | excluded
-    rng = derive_rng(seed, "nonedges", count)
-    out, chosen = [], set()
-    while len(out) < count:
-        u, v = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
-        if u == v:
-            continue
-        pair = (min(u, v), max(u, v))
-        if pair not in forbidden and pair not in chosen:
-            chosen.add(pair)
-            out.append(pair)
-    return out
-
-
-def test_sample_nonedges_rejection_matches_reference_cold_and_warm():
-    # 30x30 torus: 404,550 pairs, past the dense-pool limit
+def test_sample_nonedges_large_graphs_match_reference_pool_cold_and_warm():
+    # 30x30 torus: 404,550 pairs, a pool too large to list on every call
     make = lambda: lattice("grid", 30, 30, torus=True)
     g = make()
-    assert g.n * (g.n - 1) // 2 > 200_000
     edges = [tuple(e) for e in g.edge_array().tolist()]
-    nonedges = reference_rejection_nonedges(g, 40, seed=7)
+    nonedges = reference_sample_nonedges(g, 40, seed=7)
     excludes = [(), frozenset(edges[:9] + nonedges[:20]), [list(p[::-1]) for p in nonedges[20:30]]]
     queries = [None, edges[5], nonedges[35], nonedges[36][::-1], nonedges[25]]
     for exclude in excludes:
         for query in queries:
+            avoid = set(map(tuple, exclude)) | ({canonical_pair(*query)} if query else set())
+            pool = reference_nonedge_pool(g, avoid)  # one reference pool per avoid set
             for seed in range(3):
                 for count in (1, 9, 60):
-                    want = reference_rejection_nonedges(g, count, seed, exclude, query)
+                    picks = derive_rng(seed, "nonedges", count).choice(len(pool), size=count, replace=False)
+                    want = [pool[i] for i in picks]
                     cold = sample_nonedges(make(), count, seed, exclude=exclude, query=query)
                     warm = sample_nonedges(g, count, seed, exclude=exclude, query=query)
                     assert cold == warm == want, (exclude, query, seed, count)
     assert len(g._nonedge_pools) <= 4
-    # the forbidden set is built once per exclude set, not once per call
+    # the forbidden indices are built once per exclude set, not once per call
     cached = g._nonedge_pools[frozenset()]
     sample_nonedges(g, 5, seed=1, query=nonedges[0])
     assert g._nonedge_pools[frozenset()] is cached
+    # a near-complete graph: its few non-edges are all found
+    missing = [(0, 699), (3, 4), (100, 350), (350, 351), (698, 699)]
+    complete = itertools.combinations(range(700), 2)
+    g = Graph.from_edges(700, set(complete) - set(missing))
+    assert sorted(sample_nonedges(g, 5, seed=0)) == missing
+    assert sorted(sample_nonedges(g, 4, seed=0, query=(4, 3))) == [p for p in missing if p != (3, 4)]
+    with pytest.raises(DataError):
+        sample_nonedges(g, 6, seed=0)
 
 
 def test_sample_nonedges_capacity_counts_the_query():
@@ -383,6 +376,9 @@ def test_sample_nonedges_capacity_counts_the_query():
     assert len(sample_nonedges(tri, 2, seed=0, exclude={(0, 3)}, query=(0, 3))) == 2
     with pytest.raises(ConfigError):
         sample_nonedges(tri, 1, seed=0, query=(0, 4))
+    # an exclude pair off the graph is rejected, not counted against capacity
+    with pytest.raises(ConfigError):
+        sample_nonedges(tri, 3, seed=0, exclude={(0, 9)})
 
 
 # ---------------------------------------------------------------------------
