@@ -465,6 +465,10 @@ class DataSplit:
             seed = int(doc["seed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed split document: {exc}")
+        for key, pairs in fields.items():
+            bad = [p for p in pairs if p[0] < 0 or p[1] >= len(id_map)]
+            if bad:
+                raise DataError(f"{key} pair {bad[0]} out of range for {len(id_map)} nodes")
         return cls(seed=seed, node_count=len(id_map), id_map=id_map, **fields)
 
     def save(self, path):

@@ -4,6 +4,16 @@ All scores are computed on a scoring view of the graph: if the queried pair
 is itself an edge, that edge is removed first. This keeps scores for known
 links comparable with scores for candidate links instead of letting the
 answer leak into its own evidence.
+
+`score_batch` scores a whole batch at once. Only the linked pairs (those
+that are edges of g) have a view other than g, and removing the edge (u, v)
+changes neither the common neighbours of u and v nor their degrees (no
+common neighbour is u or v), so CN, AA and RA are array operations on g for
+every pair, and PA subtracts one from each endpoint degree of a linked pair.
+Shortest path and Katz need the view: each unlinked pair is scored from its
+source, the endpoint that occurs in more pairs of the batch (the smaller id
+on ties), with one BFS or one walk push per distinct source over g; each
+linked pair gets its own traversal on `g.without_edge(u, v)`.
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .graphs import Graph, canonical_pair, shortest_path
+from .errors import ConfigError
+from .graphs import Graph, pair_index
 
 KINDS = ("cn", "aa", "ra", "pa", "sp", "katz")
 
@@ -43,57 +53,137 @@ class Heuristic:
             raise ConfigError("katz_len must be >= 1")
 
 
-def _common_neighbors(view: Graph, u: int, v: int) -> np.ndarray:
-    return np.intersect1d(view.neighbors(u), view.neighbors(v), assume_unique=True)
+def _gather_rows(g: Graph, nodes: np.ndarray) -> tuple:
+    """(position in nodes, neighbour) for every CSR entry of every node, in
+    node order and, within a node, in ascending neighbour order."""
+    lengths = g.indptr[nodes + 1] - g.indptr[nodes]
+    owner = np.repeat(np.arange(len(nodes), dtype=np.int64), lengths)
+    row_start = np.cumsum(lengths) - lengths
+    offsets = np.arange(len(owner), dtype=np.int64) - row_start[owner]
+    return owner, g.indices[g.indptr[nodes][owner] + offsets]
 
 
-def _katz(view: Graph, u: int, v: int, beta: float, length: int) -> float:
-    # walk counts by repeated frontier push: x_k = A x_{k-1}, x_0 = e_u
-    n = view.n
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(view.indptr))
-    x = np.zeros(n)
-    x[u] = 1.0
-    score = 0.0
+def _sum_in_order(owner: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
+    """Per-owner sums of terms grouped by ascending owner, each added left to
+    right as a Python loop over the terms would (np.add.reduceat sums
+    pairwise and can differ in the last bits)."""
+    per_owner = np.bincount(owner, minlength=count)
+    first = np.cumsum(per_owner) - per_owner
+    total = np.zeros(count)
+    for j in range(int(per_owner.max()) if count else 0):
+        rows = np.flatnonzero(per_owner > j)
+        total[rows] += terms[first[rows] + j]
+    return total
+
+
+def _hops(g: Graph, source: int, targets: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Hop counts from source to each target (inf when unreachable), by a
+    level-by-level BFS that stops once every target is reached. `seen` is an
+    all-False buffer of length n, left all-False on return."""
+    hops = np.full(len(targets), math.inf)
+    frontier = np.array([source], dtype=np.int64)
+    seen[source] = True
+    visited = [frontier]
+    level = 0
+    pending = np.ones(len(targets), dtype=bool)
+    while pending.any() and len(frontier):
+        level += 1
+        _, reached = _gather_rows(g, frontier)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+        visited.append(frontier)
+        hit = pending & seen[targets]
+        hops[hit] = level
+        pending &= ~hit
+    seen[np.concatenate(visited)] = False
+    return hops
+
+
+def _katz(g: Graph, source: int, targets: np.ndarray, beta: float, length: int) -> np.ndarray:
+    """Truncated Katz scores from source to each target."""
+    # walk counts by repeated frontier push: x_k = A x_{k-1}, x_0 = e_source
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    x = np.zeros(g.n)
+    x[source] = 1.0
+    score = np.zeros(len(targets))
     for step in range(1, length + 1):
-        x = np.bincount(view.indices, weights=x[rows], minlength=n)
-        score += beta**step * x[v]
-    return float(score)
+        x = np.bincount(g.indices, weights=x[rows], minlength=g.n)
+        score += beta**step * x[targets]
+    return score
+
+
+def _traverse(h: Heuristic, g: Graph, source: int, targets: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    if h.kind == "sp":
+        return -_hops(g, source, targets, seen)
+    return _katz(g, source, targets, h.katz_beta, h.katz_len)
+
+
+def _traversal_scores(h: Heuristic, g: Graph, u: np.ndarray, v: np.ndarray, linked: np.ndarray) -> np.ndarray:
+    """SP or Katz for every pair: one traversal of g per distinct source of
+    the unlinked pairs, and one of its own view per linked pair."""
+    out = np.empty(len(u))
+    seen = np.zeros(g.n, dtype=bool)
+    for i in np.flatnonzero(linked):
+        a, b = int(u[i]), int(v[i])
+        out[i] = _traverse(h, g.without_edge(a, b), a, v[i : i + 1], seen)[0]
+    free = np.flatnonzero(~linked)
+    if not len(free):
+        return out
+    u, v = u[free], v[free]
+    nodes, uses = np.unique(np.concatenate([u, v]), return_counts=True)
+    from_u = uses[np.searchsorted(nodes, u)] >= uses[np.searchsorted(nodes, v)]
+    source, target = np.where(from_u, u, v), np.where(from_u, v, u)
+    order = np.argsort(source, kind="stable")
+    starts = np.flatnonzero(np.diff(source[order])) + 1
+    for group in np.split(order, starts):
+        out[free[group]] = _traverse(h, g, int(source[group[0]]), target[group], seen)
+    return out
+
+
+def score_batch(h: Heuristic, g: Graph, pairs) -> np.ndarray:
+    """Vector of scores in the order of pairs, each on its scoring view of g."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= g.n)).any(axis=1))
+    if len(bad):
+        raise ConfigError(f"pair {tuple(pairs[bad[0]].tolist())} out of range for graph with n={g.n}")
+    same = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if len(same):
+        raise ConfigError(f"node pair must have two distinct endpoints, got {tuple(pairs[same[0]].tolist())}")
+    u, v = pairs.min(axis=1), pairs.max(axis=1)
+    codes, query = g.edge_codes(), pair_index(g.n, u, v)
+    at = np.searchsorted(codes, query)
+    linked = at < len(codes)
+    linked[linked] = codes[at[linked]] == query[linked]
+    deg = np.diff(g.indptr)
+    if h.kind == "pa":
+        return ((deg[u] - linked) * (deg[v] - linked)).astype(np.float64)
+    if h.kind == "katz" and len(u):
+        max_deg = int(deg.max())
+        if h.katz_beta >= 1.0 / (max_deg + 1):
+            warnings.warn(
+                f"katz_beta={h.katz_beta} >= 1/(max_degree+1)={1.0 / (max_deg + 1):.4g}; "
+                "truncated score is finite but far from the series limit",
+                stacklevel=2,
+            )
+    if h.kind in ("sp", "katz"):
+        return _traversal_scores(h, g, u, v, linked)
+    # common neighbours: keys position * n + neighbour present in both rows
+    # of a pair, ascending by pair and then by neighbour
+    owner_u, nbr_u = _gather_rows(g, u)
+    owner_v, nbr_v = _gather_rows(g, v)
+    common = np.intersect1d(owner_u * g.n + nbr_u, owner_v * g.n + nbr_v, assume_unique=True)
+    owner, w = np.divmod(common, g.n)
+    if h.kind == "cn":
+        return np.bincount(owner, minlength=len(u)).astype(np.float64)
+    if h.kind == "aa":
+        # a common neighbour is adjacent to both endpoints, so its degree is >= 2
+        degrees, where = np.unique(deg[w], return_inverse=True)
+        terms = np.array([1.0 / math.log(d) for d in degrees.tolist()])[where]
+    else:
+        terms = 1.0 / deg[w]
+    return _sum_in_order(owner, terms, len(u))
 
 
 def score(h: Heuristic, g: Graph, pair) -> float:
     """Score one candidate pair with heuristic h on the scoring view of g."""
-    u, v = canonical_pair(*pair)
-    if v >= g.n:
-        raise ConfigError(f"pair {pair} out of range for graph with n={g.n}")
-    view = g.without_edge(u, v)
-    if h.kind == "cn":
-        return float(len(_common_neighbors(view, u, v)))
-    if h.kind == "aa":
-        total = 0.0
-        for w in _common_neighbors(view, u, v):
-            d = view.degree(int(w))
-            if d < 2:
-                raise NumericError(f"common neighbor {w} has degree {d} < 2")
-            total += 1.0 / math.log(d)
-        return total
-    if h.kind == "ra":
-        return float(sum(1.0 / view.degree(int(w)) for w in _common_neighbors(view, u, v)))
-    if h.kind == "pa":
-        return float(view.degree(u) * view.degree(v))
-    if h.kind == "sp":
-        d = shortest_path(view, u, v)
-        return -math.inf if math.isinf(d) else -float(d)
-    # katz
-    max_deg = int(np.diff(view.indptr).max()) if view.n else 0
-    if h.katz_beta >= 1.0 / (max_deg + 1):
-        warnings.warn(
-            f"katz_beta={h.katz_beta} >= 1/(max_degree+1)={1.0 / (max_deg + 1):.4g}; "
-            "truncated score is finite but far from the series limit",
-            stacklevel=2,
-        )
-    return _katz(view, u, v, h.katz_beta, h.katz_len)
-
-
-def score_batch(h: Heuristic, g: Graph, pairs) -> np.ndarray:
-    """Vector of scores in the order of pairs."""
-    return np.array([score(h, g, p) for p in pairs], dtype=np.float64)
+    return float(score_batch(h, g, [pair])[0])

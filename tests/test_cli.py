@@ -1,5 +1,7 @@
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,19 @@ def test_heuristic_rejects_split_with_out_of_range_endpoint(tmp_path, capsys):
         "valid_pos": [], "valid_neg": [], "test_pos": [[1, 2]], "test_neg": [[2, 3]],
     }))
     assert main(["heuristic", "--kind", "cn", "--split", str(split)]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_pair", [[0, 9], [-1, 3]])
+def test_split_with_out_of_range_held_out_pair_is_a_data_error(ws, tmp_path, capsys, bad_pair):
+    split = tmp_path / "bad.split.json"
+    split.write_text(json.dumps({
+        "seed": 0, "id_map": list(range(8)), "observed": [[i, (i + 1) % 8] for i in range(8)],
+        "valid_pos": [], "valid_neg": [], "test_pos": [bad_pair], "test_neg": [[1, 3]],
+    }))
+    assert main(["heuristic", "--kind", "pa", "--split", str(split)]) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(ws / "icl.ckpt.json"), "--split", str(split)]) == 2
     assert "data error:" in capsys.readouterr().err
 
 
@@ -360,6 +375,18 @@ def test_gradcheck_command(capsys):
 def test_gradcheck_impossible_threshold(capsys):
     assert main(["gradcheck", "--seeds", "0", "--threshold", "1e-18"]) == 3
     assert "numeric error:" in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    wanted = ("unilp generate", "unilp split", "unilp heuristic", "unilp verify-pattern")
+    commands = [line for line in block.splitlines() if line.startswith(wanted)]
+    assert [c.split()[1] for c in commands] == ["generate", "split", "heuristic", "verify-pattern"]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+    assert "p(link | 3-edge path) = 1/4" in capsys.readouterr().out
 
 
 def test_no_command_prints_help(capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError
-from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.heuristics import Heuristic, score, score_batch
+from unilp.graphs import Graph, LatticeSpec, SbmSpec, canonical_pair, generate_lattice, generate_sbm, shortest_path
+from unilp.heuristics import KINDS, Heuristic, score, score_batch
 from unilp.rng import derive_rng
 
 
@@ -22,6 +22,83 @@ def random_graph(n, p, seed):
     rng = derive_rng(seed, "test-heuristic-graph")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def reference_score(h, g, pair):
+    """The per-pair form: build the scoring view, then score the pair alone."""
+    u, v = canonical_pair(*pair)
+    view = g.without_edge(u, v)
+    common = np.intersect1d(view.neighbors(u), view.neighbors(v), assume_unique=True)
+    if h.kind == "cn":
+        return float(len(common))
+    if h.kind == "aa":
+        total = 0.0
+        for w in common:
+            total += 1.0 / math.log(view.degree(int(w)))
+        return total
+    if h.kind == "ra":
+        return float(sum(1.0 / view.degree(int(w)) for w in common))
+    if h.kind == "pa":
+        return float(view.degree(u) * view.degree(v))
+    if h.kind == "sp":
+        d = shortest_path(view, u, v)
+        return -math.inf if math.isinf(d) else -float(d)
+    rows = np.repeat(np.arange(view.n, dtype=np.int64), np.diff(view.indptr))
+    x = np.zeros(view.n)
+    x[u] = 1.0
+    total = 0.0
+    for step in range(1, h.katz_len + 1):
+        x = np.bincount(view.indices, weights=x[rows], minlength=view.n)
+        total += h.katz_beta**step * x[v]
+    return float(total)
+
+
+def reference_graphs():
+    two_parts = Graph.from_edges(10, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6), (6, 7), (7, 8), (5, 8)])
+    return {
+        # p_in 0.9 on 24 nodes: every pair has at least 8 common neighbours
+        "dense-sbm": generate_sbm(SbmSpec((24,), 0.9, 0.0), seed=3),
+        "two-block-sbm": generate_sbm(SbmSpec((15, 15), 0.4, 0.05), seed=4),
+        "grid-torus": generate_lattice(LatticeSpec(kind="grid", rows=6, cols=6, torus=True)),
+        "triangular": generate_lattice(LatticeSpec(kind="triangular", rows=5, cols=4)),
+        # isolated nodes 4 and 9, two components: SP scores of -inf
+        "two-parts": two_parts,
+    }
+
+
+def reference_batches(g, seed):
+    rng = derive_rng(seed, "test-heuristic-batch")
+    edges = [tuple(e) for e in g.edge_array().tolist()]
+    random_pairs = [tuple(int(x) for x in rng.choice(g.n, size=2, replace=False)) for _ in range(40)]
+    linked = [edges[i] for i in rng.choice(len(edges), size=min(10, len(edges)), replace=False)]
+    mixed = random_pairs + linked + [(b, a) for a, b in random_pairs[:10] + linked[:5]] + random_pairs[:5]
+    # one node in many pairs (a single source for most of them) next to
+    # pairs with sources of their own
+    star = [(0, b) for b in range(1, g.n)] + [(b, 0) for b in range(2, 5)]
+    return [mixed, star, random_pairs[:1], linked[:1], edges]
+
+
+@pytest.mark.parametrize("name", sorted(reference_graphs()))
+def test_score_batch_equals_reference_bitwise(name):
+    g = reference_graphs()[name]
+    if name == "dense-sbm":
+        cn = score_batch(Heuristic("cn"), g, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)])
+        assert cn.min() >= 8
+    for i, pairs in enumerate(reference_batches(g, seed=len(name))):
+        for kind in KINDS:
+            h = Heuristic(kind, katz_beta=0.01)
+            got = score_batch(h, g, pairs)
+            want = np.array([reference_score(h, g, p) for p in pairs], dtype=np.float64)
+            assert got.dtype == np.float64 and got.shape == (len(pairs),)
+            assert got.tobytes() == want.tobytes(), (name, i, kind)
+    if name == "two-parts":
+        assert list(score_batch(Heuristic("sp"), g, [(0, 5), (3, 4), (0, 3)])) == [-math.inf, -math.inf, -2.0]
+
+
+def test_empty_batch():
+    for kind in KINDS:
+        got = score_batch(Heuristic(kind), path3(), [])
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 def test_unknown_kind_rejected():
@@ -123,14 +200,21 @@ def test_scores_are_symmetric():
 
 def test_score_batch_matches_singles():
     g = random_graph(10, 0.35, seed=2)
-    pairs = [(0, 1), (2, 5), (3, 9)]
-    h = Heuristic("ra")
-    batch = score_batch(h, g, pairs)
-    assert batch.dtype == np.float64
-    assert list(batch) == [score(h, g, p) for p in pairs]
+    pairs = [(0, 1), (2, 5), (3, 9), (9, 3), (0, 5)]
+    for kind in KINDS:
+        h = Heuristic(kind)
+        batch = score_batch(h, g, pairs)
+        assert batch.dtype == np.float64
+        assert list(batch) == [score(h, g, p) for p in pairs], kind
 
 
 def test_out_of_range_pair_rejected():
-    g = path3()
-    with pytest.raises(ConfigError):
-        score(Heuristic("cn"), g, (0, 3))
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for kind in KINDS:
+        for pair in [(0, 4), (-1, 2), (2, -1)]:
+            with pytest.raises(ConfigError, match="out of range"):
+                score(Heuristic(kind), g, pair)
+        with pytest.raises(ConfigError, match="out of range"):
+            score_batch(Heuristic(kind), g, [(0, 1), (-1, 3)])
+        with pytest.raises(ConfigError, match="distinct"):
+            score_batch(Heuristic(kind), g, [(0, 1), (2, 2)])
