@@ -16,7 +16,7 @@ from .graphs import (
     split_edges,
 )
 from .heuristics import Heuristic, score as heuristic_score, score_batch as heuristic_scores
-from .labeling import LabelVocab, LabeledSubgraph, drnl, drnl_plus, extract_ego_subgraph, labeled_subgraph
+from .labeling import LabelVocab, LabeledSubgraph, drnl, drnl_plus, labeled_subgraph
 from .autodiff import Optimizer, Tape, Tensor, load_checkpoint, save_checkpoint
 from .model import (
     MODE_ICL,
@@ -48,8 +48,7 @@ __all__ = [
     "generate_lattice", "generate_sbm", "load_edge_list", "sample_nonedges",
     "save_edge_list", "split_edges",
     "Heuristic", "heuristic_score", "heuristic_scores",
-    "LabelVocab", "LabeledSubgraph", "drnl", "drnl_plus",
-    "extract_ego_subgraph", "labeled_subgraph",
+    "LabelVocab", "LabeledSubgraph", "drnl", "drnl_plus", "labeled_subgraph",
     "Optimizer", "Tape", "Tensor", "load_checkpoint", "save_checkpoint",
     "MODE_ICL", "MODE_NO_CONTEXT", "ContextSet", "ModelConfig",
     "forward", "init_params", "model_gradient_check",

@@ -451,7 +451,7 @@ def zero_grad(params: dict):
         t.grad = None
 
 
-def step(opt: Optimizer, params: dict, grads: dict = None):
+def step(opt: Optimizer, params: dict):
     """Apply one update in sorted parameter-name order, then clear grads.
 
     Parameters without a gradient (never touched by the loss) are skipped,
@@ -459,10 +459,8 @@ def step(opt: Optimizer, params: dict, grads: dict = None):
     are validated and new values staged before anything is committed, so a
     NumericError never leaves a half-updated parameter set.
     """
-    if grads is None:
-        grads = {name: t.grad for name, t in params.items()}
     for name in sorted(params):
-        g = grads.get(name)
+        g = params[name].grad
         if g is not None and not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
     opt.t += 1
@@ -470,10 +468,10 @@ def step(opt: Optimizer, params: dict, grads: dict = None):
     # overflow here is caught by the finiteness check, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for name in sorted(params):
-            g = grads.get(name)
+            p = params[name]
+            g = p.grad
             if g is None:
                 continue
-            p = params[name]
             if opt.kind == "sgd":
                 new_values = p.values - opt.lr * g
                 moments = None

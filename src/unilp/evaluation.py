@@ -87,10 +87,7 @@ class PatternStats:
         write_json_atomic(path, self.to_json_dict())
 
 
-def _enumerate_pattern(g: Graph, lengths, link_set, anchors):
-    for length in lengths:
-        if length < 2:
-            raise ConfigError(f"pattern lengths must be >= 2, got {length}")
+def _enumerate_pattern(g: Graph, link_set, anchors):
     if link_set is None:
         link_set = g.edge_set()
     first = range(g.n) if anchors is None else sorted(set(anchors))
@@ -103,8 +100,8 @@ def _enumerate_pattern(g: Graph, lengths, link_set, anchors):
             f"up to {bound} candidate pairs exceeds the enumeration guard "
             f"({PAIR_ENUMERATION_GUARD}); restrict anchors"
         )
-    hits = {length: 0 for length in lengths}
-    totals = {length: 0 for length in lengths}
+    hits = {2: 0, 3: 0}
+    totals = {2: 0, 3: 0}
     seen = set()
     for u in first:
         others = range(u + 1, g.n) if anchors is None else range(g.n)
@@ -118,31 +115,29 @@ def _enumerate_pattern(g: Graph, lengths, link_set, anchors):
             linked = pair in link_set
             # a simple path of 2 or more edges never uses the pair's own edge,
             # so the count on g equals the count with that edge removed
-            for length in lengths:
+            for length in (2, 3):
                 if count_simple_paths(g, pair[0], pair[1], length) > 0:
                     totals[length] += 1
                     hits[length] += linked
     return hits, totals, len(seen)
 
 
-def verify_connectivity_pattern(g: Graph, lengths=(2, 3), link_set=None, anchors=None) -> dict:
-    """Exact conditional link probabilities per path length.
+def verify_connectivity_pattern(g: Graph, link_set=None, anchors=None) -> dict:
+    """Exact conditional link probabilities for path lengths 2 and 3.
 
-    For each unordered pair (with the pair's own edge, if any, removed) and
-    each requested length, test whether a simple path of exactly that many
-    edges connects the endpoints; return Fraction(linked pairs, such pairs).
-    `anchors` restricts the first endpoint; `link_set` overrides which pairs
-    count as linked (defaults to the graph's own edges).
+    For each unordered pair (with the pair's own edge, if any, removed),
+    test whether a simple path of exactly 2 (resp. 3) edges connects the
+    endpoints; return {2: p, 3: p}, each Fraction(linked pairs, such pairs)
+    or None when no pair qualifies. `anchors` restricts the first endpoint;
+    `link_set` overrides which pairs count as linked (defaults to the
+    graph's own edges).
     """
-    hits, totals, _ = _enumerate_pattern(g, lengths, link_set, anchors)
-    return {
-        length: Fraction(hits[length], totals[length]) if totals[length] else None
-        for length in lengths
-    }
+    stats = pattern_stats(g, link_set, anchors)
+    return {2: stats.p_two, 3: stats.p_three}
 
 
 def pattern_stats(g: Graph, link_set=None, anchors=None) -> PatternStats:
-    hits, totals, n_pairs = _enumerate_pattern(g, (2, 3), link_set, anchors)
+    hits, totals, n_pairs = _enumerate_pattern(g, link_set, anchors)
     return PatternStats(
         p_two=Fraction(hits[2], totals[2]) if totals[2] else None,
         p_three=Fraction(hits[3], totals[3]) if totals[3] else None,
@@ -164,13 +159,7 @@ def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None
     as the config says.
     """
     if kind == FLIP_LABEL:
-        flipped = "flipped:"
-        source = (
-            context.source[len(flipped):]
-            if context.source.startswith(flipped)
-            else flipped + context.source
-        )
-        return ContextSet(positives=context.negatives, negatives=context.positives, source=source)
+        return ContextSet(positives=context.negatives, negatives=context.positives)
     if kind == RANDOM_CONTEXT:
         from .graphs import SbmSpec
         from .training import LinkDataset, build_context
@@ -181,7 +170,6 @@ def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None
         return build_context(
             LinkDataset.whole_graph("random-context", g), config, len(context.positives),
             len(context.negatives), derive_seed_int(seed, "random-ctx-pairs"),
-            source="random-graph",
         )
     raise ConfigError(f"unknown perturbation {kind!r}; expected one of {PERTURB_KINDS}")
 

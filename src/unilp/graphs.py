@@ -463,7 +463,7 @@ class DataSplit:
                 for key in ("observed", "valid_pos", "valid_neg", "test_pos", "test_neg")
             }
             seed = int(doc["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DataError(f"malformed split document: {exc}")
         for key, pairs in fields.items():
             bad = [p for p in pairs if p[0] < 0 or p[1] >= len(id_map)]

@@ -19,17 +19,16 @@ inside the extracted subgraph. drnl is the double-radius scheme
 
 which injectively encodes the orbit of (d_u, d_v) under swapping.
 
-Labeling also stores a flat form of the subgraph (label slots, degrees and
-neighbor columns as flat tuples), from which model batches are assembled
-with array operations instead of per-node loops.
+`labeled_subgraph` is the one constructor: it extracts and labels in one
+step, so every `LabeledSubgraph` carries its labels. Its fields are plain
+tuples, which compare with `==` and sort as label tuples do.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,21 +88,18 @@ class LabelVocab:
 
 @dataclass(frozen=True)
 class LabeledSubgraph:
-    """Induced ego subgraph around a target pair.
+    """Induced, labeled ego subgraph around a target pair.
 
-    nodes: original node ids; local index 0 is u, 1 is v, the rest ascend.
-    adj:   per-node tuples of local neighbor indices, each sorted.
-    labels: per-node (a, b) tuples, or None before labeling.
-    flat:  set by with_labels: (slot_a, slot_b, degrees, columns), flat
-           tuples of ints; slot_a[i], slot_b[i] = labels[i], degrees[i] =
-           len(adj[i]) and columns = the adj tuples concatenated.
+    nodes:  original node ids; local index 0 is u, 1 is v, the rest ascend.
+    adj:    per-node tuples of local neighbor indices, each sorted.
+    radius: the extraction radius.
+    labels: per-node (a, b) label tuples (see drnl_plus).
     """
 
     nodes: tuple
     adj: tuple
     radius: int
-    labels: tuple = None
-    flat: tuple = field(default=None, repr=False, compare=False)
+    labels: tuple
 
     @property
     def n(self) -> int:
@@ -115,12 +111,6 @@ class LabeledSubgraph:
 
     def local_edges(self):
         return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
-
-    def with_labels(self, labels) -> "LabeledSubgraph":
-        labels = tuple(tuple(t) for t in labels)
-        slot_a, slot_b = zip(*labels)  # every subgraph holds its two targets
-        flat = (slot_a, slot_b, tuple(map(len, self.adj)), tuple(chain.from_iterable(self.adj)))
-        return replace(self, labels=labels, flat=flat)
 
 
 def _bounded_bfs(neighbors, source: int, radius: int, cap, rng) -> dict:
@@ -139,14 +129,15 @@ def _bounded_bfs(neighbors, source: int, radius: int, cap, rng) -> dict:
     return dist
 
 
-def extract_ego_subgraph(
+def labeled_subgraph(
     g: Graph,
     pair,
     radius: int,
     remove_target: bool = True,
     max_per_hop: int = None,
 ) -> LabeledSubgraph:
-    """Induced subgraph on nodes within radius hops of either endpoint.
+    """Labeled induced subgraph on nodes within radius hops of either
+    endpoint; the form every model input takes.
 
     With remove_target set, the target edge (when present) is masked: the
     walk and the adjacency lists skip it, which gives the same subgraph as
@@ -178,36 +169,34 @@ def extract_ego_subgraph(
         tuple(sorted(local[w] for w in neighbors(orig) if w in local))
         for orig in nodes
     )
-    return LabeledSubgraph(nodes=tuple(nodes), adj=adj, radius=radius)
+    return LabeledSubgraph(nodes=tuple(nodes), adj=adj, radius=radius,
+                           labels=_drnl_plus(nodes, adj))
 
 
-def _local_distances(sub: LabeledSubgraph, source: int) -> list:
-    dist = [math.inf] * sub.n
+def _local_distances(adj: tuple, source: int) -> list:
+    dist = [math.inf] * len(adj)
     dist[source] = 0
     queue = deque([source])
     while queue:
         x = queue.popleft()
-        for w in sub.adj[x]:
+        for w in adj[x]:
             if math.isinf(dist[w]):
                 dist[w] = dist[x] + 1
                 queue.append(w)
     return dist
 
 
-def drnl_plus(sub: LabeledSubgraph) -> tuple:
-    """Per-node label tuples for an extracted subgraph.
+def _drnl_plus(nodes, adj: tuple) -> tuple:
+    """Per-node label tuples for the subgraph on `nodes` with local `adj`.
 
     Targets are (1, 0) by definition. Other nodes combine their in-subgraph
     distances to the two targets; unreachable-from-one-side nodes fall back
     to the one-sided (0, d) form.
     """
-    d_u = _local_distances(sub, 0)
-    d_v = _local_distances(sub, 1)
-    labels = []
-    for i in range(sub.n):
-        if i < 2:
-            labels.append((1, 0))
-            continue
+    d_u = _local_distances(adj, 0)
+    d_v = _local_distances(adj, 1)
+    labels = [(1, 0), (1, 0)]
+    for i in range(2, len(adj)):
         du, dv = d_u[i], d_v[i]
         u_ok, v_ok = not math.isinf(du), not math.isinf(dv)
         if u_ok and v_ok:
@@ -218,19 +207,12 @@ def drnl_plus(sub: LabeledSubgraph) -> tuple:
             labels.append((0, int(dv)))
         else:
             raise NumericError(
-                f"node {sub.nodes[i]} unreachable from both targets; "
+                f"node {nodes[i]} unreachable from both targets; "
                 "extraction should make this impossible"
             )
     return tuple(labels)
 
 
-def labeled_subgraph(
-    g: Graph,
-    pair,
-    radius: int,
-    remove_target: bool = True,
-    max_per_hop: int = None,
-) -> LabeledSubgraph:
-    """Extract and label in one step; the form every model input takes."""
-    sub = extract_ego_subgraph(g, pair, radius, remove_target, max_per_hop)
-    return sub.with_labels(drnl_plus(sub))
+def drnl_plus(sub: LabeledSubgraph) -> tuple:
+    """Label tuples recomputed from a subgraph's nodes and adjacency."""
+    return _drnl_plus(sub.nodes, sub.adj)

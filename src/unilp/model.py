@@ -110,28 +110,15 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ContextSet:
-    """Encoded-later bundle of example links with known labels.
-
-    positives/negatives hold labeled subgraphs extracted with the target
-    edge removed; `source` records where the members came from so perturbed
-    contexts stay distinguishable in reports.
-    """
+    """Example links with known labels, encoded later: labeled subgraphs
+    extracted with the target edge removed, positives first."""
 
     positives: tuple
     negatives: tuple
-    source: str = "target-graph"
-
-    def __post_init__(self):
-        for sub in tuple(self.positives) + tuple(self.negatives):
-            if sub.labels is None:
-                raise ConfigError("context members must be labeled subgraphs")
 
     @property
     def size(self) -> int:
         return len(self.positives) + len(self.negatives)
-
-    def pairs(self) -> set:
-        return {s.pair for s in self.positives} | {s.pair for s in self.negatives}
 
 
 def init_params(config: ModelConfig, seed: int) -> dict:
@@ -174,26 +161,25 @@ def _assemble_batch(subs, vocab: LabelVocab):
     """Stack subgraphs into one disjoint block: label indices, the constant
     neighbor-mean operator, and the constant per-subgraph mean-pool operator.
 
-    Built from the subgraphs' flat forms with array operations; row i of the
-    neighbor-mean operator holds 1/deg(i) at each neighbor's column (isolated
-    nodes keep an all-zero row), row s of the pool operator 1/n_s at each
-    node of subgraph s."""
+    Built with array operations from the subgraphs' label tuples and
+    adjacency rows, each streamed into one array by np.fromiter; row i of
+    the neighbor-mean operator holds 1/deg(i) at each neighbor's column
+    (isolated nodes keep an all-zero row), row s of the pool operator 1/n_s
+    at each node of subgraph s."""
     if not subs:
         raise ConfigError("cannot encode an empty list of subgraphs")
-    if any(sub.labels is None for sub in subs):
-        raise ConfigError("subgraph must be labeled before encoding")
     sizes = np.fromiter((sub.n for sub in subs), dtype=np.int64, count=len(subs))
     total = int(sizes.sum())
-
-    def flat(slot, count):
-        return np.fromiter(chain.from_iterable(sub.flat[slot] for sub in subs), dtype=np.int64,
-                           count=count)
-
-    idx = vocab.indices(flat(0, total), flat(1, total))
-    deg = flat(2, total)
+    labels = np.fromiter(chain.from_iterable(chain.from_iterable(sub.labels for sub in subs)),
+                         dtype=np.int64, count=2 * total).reshape(total, 2)
+    idx = vocab.indices(labels[:, 0], labels[:, 1])
+    deg = np.fromiter(map(len, chain.from_iterable(sub.adj for sub in subs)), dtype=np.int64,
+                      count=total)
     n_cols = int(deg.sum())
+    columns = np.fromiter(chain.from_iterable(chain.from_iterable(sub.adj for sub in subs)),
+                          dtype=np.int64, count=n_cols)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cols = flat(3, n_cols) + np.repeat(offsets, deg)
+    cols = columns + np.repeat(offsets, deg)
     weights = np.repeat(1.0 / np.maximum(deg, 1), deg)  # isolated rows repeat 0 times
     indptr = np.concatenate(([0], np.cumsum(deg)))
     agg = sp.csr_matrix((weights, cols, indptr), shape=(total, total))

@@ -192,7 +192,7 @@ def sample_context_pairs(g: Graph, n_pos: int, n_neg: int, seed: int, exclude=No
 
 
 def build_context(dataset: LinkDataset, config: ModelConfig, n_pos: int, n_neg: int, seed: int,
-                  exclude=None, source="target-graph") -> ContextSet:
+                  exclude=None) -> ContextSet:
     """The one way a context is drawn: n_pos observed edges (never the
     excluded query) and n_neg non-edges of the dataset, deterministic per
     (seed, exclude), each extracted as the config says. Negatives avoid the
@@ -203,7 +203,6 @@ def build_context(dataset: LinkDataset, config: ModelConfig, n_pos: int, n_neg: 
     return ContextSet(
         positives=tuple(dataset.subgraph(p, config) for p in pos_pairs),
         negatives=tuple(dataset.subgraph(p, config) for p in neg_pairs),
-        source=source,
     )
 
 
@@ -423,10 +422,10 @@ def transfer_probe(target: Graph, extra: Graph, model_config: ModelConfig,
                    seed: int = 0) -> TransferResult:
     """Does adding `extra` as a training source help or hurt on `target`?
 
-    Both arms share the target split, seeds, and schedule; the augmented arm
-    additionally draws training queries from the whole of `extra`. The probe
-    is defined for the plain supervised mode only, where "more data" is the
-    entire intervention.
+    Both arms share one target dataset (so the same split and test pairs),
+    seeds, and schedule; the augmented arm additionally draws training
+    queries from the whole of `extra`. The probe is defined for the plain
+    supervised mode only, where "more data" is the entire intervention.
     """
     if model_config.mode != MODE_NO_CONTEXT:
         raise ConfigError("transfer_probe requires no_context mode")
@@ -435,12 +434,7 @@ def transfer_probe(target: Graph, extra: Graph, model_config: ModelConfig,
     ds_target = LinkDataset(name="target", split=split)
     ds_extra = LinkDataset.whole_graph("extra", extra)
     params_base, _ = pretrain([ds_target], [ds_target], model_config, arm_config)
-    ds_target_b = LinkDataset(name="target", split=split)
-    params_aug, _ = pretrain([ds_target_b, ds_extra], [ds_target_b], model_config, arm_config)
-    if ds_target.split.test_pos != ds_target_b.split.test_pos or (
-        ds_target.split.test_neg != ds_target_b.split.test_neg
-    ):
-        raise DataError("transfer probe arms must share identical test pairs")
+    params_aug, _ = pretrain([ds_target, ds_extra], [ds_target], model_config, arm_config)
 
     from .evaluation import hits_at_k, score_pairs
 

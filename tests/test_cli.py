@@ -133,6 +133,16 @@ def test_split_with_out_of_range_held_out_pair_is_a_data_error(ws, tmp_path, cap
     assert "data error:" in capsys.readouterr().err
 
 
+def test_split_with_self_pair_is_a_data_error(tmp_path, capsys):
+    split = tmp_path / "bad.split.json"
+    split.write_text(json.dumps({
+        "seed": 0, "id_map": list(range(6)), "observed": [[0, 1], [1, 2]],
+        "valid_pos": [], "valid_neg": [], "test_pos": [[3, 3]], "test_neg": [[2, 4]],
+    }))
+    assert main(["heuristic", "--kind", "cn", "--split", str(split)]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_label_command(ws, capsys):
     assert main(["label", "--edges", str(ws / "tri.edges"), "--u", "0", "--v", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -380,13 +390,28 @@ def test_gradcheck_impossible_threshold(capsys):
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
-    wanted = ("unilp generate", "unilp split", "unilp heuristic", "unilp verify-pattern")
-    commands = [line for line in block.splitlines() if line.startswith(wanted)]
-    assert [c.split()[1] for c in commands] == ["generate", "split", "heuristic", "verify-pattern"]
+    # join continuation lines, write each `cat > FILE <<'MARK'` heredoc, and
+    # run every `unilp` command in order
+    lines = iter(block.replace("\\\n", " ").splitlines())
     monkeypatch.chdir(tmp_path)
-    for command in commands:
-        assert main(shlex.split(command)[1:]) == 0, command
-    assert "p(link | 3-edge path) = 1/4" in capsys.readouterr().out
+    ran = []
+    for line in lines:
+        if line.startswith("cat > "):
+            target, marker = line[len("cat > "):].split(" <<")
+            body = []
+            for body_line in lines:
+                if body_line == marker.strip("'"):
+                    break
+                body.append(body_line)
+            Path(target).write_text("\n".join(body) + "\n")
+        elif line.startswith("unilp "):
+            assert main(shlex.split(line)[1:]) == 0, line
+            ran.append(line.split()[1])
+    assert ran == ["generate", "split", "heuristic", "verify-pattern", "pretrain", "eval",
+                   "gradcheck"]
+    out = capsys.readouterr().out
+    assert "p(link | 3-edge path) = 1/4" in out
+    assert "pretrained 2 epochs (ok)" in out
 
 
 def test_no_command_prints_help(capsys):

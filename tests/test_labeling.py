@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,13 +6,7 @@ import pytest
 
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, SbmSpec, generate_lattice, generate_sbm
-from unilp.labeling import (
-    LabelVocab,
-    drnl,
-    drnl_plus,
-    extract_ego_subgraph,
-    labeled_subgraph,
-)
+from unilp.labeling import LabelVocab, drnl, drnl_plus, labeled_subgraph
 from unilp.rng import derive_rng
 
 
@@ -83,20 +78,19 @@ def test_vocab_rejects_malformed_labels():
 
 def test_extract_path_pair_with_target_removed():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    sub = extract_ego_subgraph(g, (1, 2), radius=1)
+    sub = labeled_subgraph(g, (1, 2), radius=1)
     assert sub.nodes == (1, 2, 0, 3)
     assert sub.adj == ((2,), (3,), (0,), (1,))
-    labels = drnl_plus(sub)
     # the cut splits the subgraph: each outer node reaches one target only
-    assert labels == ((1, 0), (1, 0), (0, 1), (0, 1))
+    assert sub.labels == drnl_plus(sub) == ((1, 0), (1, 0), (0, 1), (0, 1))
 
 
 def test_extract_path_pair_keeping_target():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    sub = extract_ego_subgraph(g, (1, 2), radius=1, remove_target=False)
+    sub = labeled_subgraph(g, (1, 2), radius=1, remove_target=False)
     assert sub.nodes == (1, 2, 0, 3)
     assert sub.adj[0] == (1, 2) and sub.adj[1] == (0, 3)
-    assert drnl_plus(sub) == ((1, 0), (1, 0), (3, 0), (3, 0))
+    assert sub.labels == drnl_plus(sub) == ((1, 0), (1, 0), (3, 0), (3, 0))
 
 
 def test_extract_cycle_pair():
@@ -108,7 +102,7 @@ def test_extract_cycle_pair():
 
 def test_extract_orders_nodes_canonically():
     g = generate_lattice(LatticeSpec(kind="grid", rows=4, cols=4))
-    sub = extract_ego_subgraph(g, (9, 5), radius=1)
+    sub = labeled_subgraph(g, (9, 5), radius=1)
     assert sub.nodes[0] == 5 and sub.nodes[1] == 9
     assert list(sub.nodes[2:]) == sorted(sub.nodes[2:])
     # membership: within radius 1 of either endpoint on the cut view
@@ -119,17 +113,17 @@ def test_extract_orders_nodes_canonically():
 
 def test_extract_nonedge_pair_is_unaffected_by_removal_flag():
     g = generate_lattice(LatticeSpec(kind="grid", rows=4, cols=4))
-    a = extract_ego_subgraph(g, (0, 10), radius=2, remove_target=True)
-    b = extract_ego_subgraph(g, (0, 10), radius=2, remove_target=False)
+    a = labeled_subgraph(g, (0, 10), radius=2, remove_target=True)
+    b = labeled_subgraph(g, (0, 10), radius=2, remove_target=False)
     assert a == b
 
 
 def test_extract_validates_arguments():
     g = generate_lattice(LatticeSpec(kind="grid", rows=4, cols=4))
     with pytest.raises(ConfigError):
-        extract_ego_subgraph(g, (0, 99), radius=1)
+        labeled_subgraph(g, (0, 99), radius=1)
     with pytest.raises(ConfigError):
-        extract_ego_subgraph(g, (0, 1), radius=0)
+        labeled_subgraph(g, (0, 1), radius=0)
 
 
 def test_masked_extraction_matches_the_without_edge_view():
@@ -148,15 +142,25 @@ def test_masked_extraction_matches_the_without_edge_view():
                         assert got == want, (u, v, radius, cap)
 
 
-def test_flat_form_mirrors_labels_and_adjacency():
-    g = random_graph(14, 0.3, seed=5)
-    for pair in ((0, 1), (2, 9), (3, 13)):
-        sub = labeled_subgraph(g, pair, radius=2)
-        slot_a, slot_b, degrees, columns = sub.flat
-        assert tuple(zip(slot_a, slot_b)) == sub.labels
-        assert degrees == tuple(len(row) for row in sub.adj)
-        assert columns == tuple(j for row in sub.adj for j in row)
-    assert extract_ego_subgraph(g, (0, 1), radius=1).flat is None
+#: SHA-256 over repr((nodes, adj, labels)) of every subgraph below; a change
+#: means some pair's node order, adjacency or labels moved.
+PINNED_SUBGRAPH_DIGEST = "5870eef773fccb85c8dccd782f0836b4869a0a55ae07b66be36982cc1e8d48ea"
+
+
+def test_subgraphs_match_pinned_digest():
+    graphs = [
+        generate_lattice(LatticeSpec(kind="triangular", rows=6, cols=6, torus=True)),
+        generate_sbm(SbmSpec((8, 6), 0.5, 0.1), seed=2),
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for radius in (1, 2):
+            for cap in (None, 2):
+                for u in range(g.n):
+                    for v in range(u + 1, g.n):
+                        sub = labeled_subgraph(g, (u, v), radius, max_per_hop=cap)
+                        digest.update(repr((sub.nodes, sub.adj, sub.labels)).encode())
+    assert digest.hexdigest() == PINNED_SUBGRAPH_DIGEST
 
 
 def test_vocab_indices_match_index_and_reject_malformed_labels():
@@ -170,7 +174,7 @@ def test_vocab_indices_match_index_and_reject_malformed_labels():
 
 def test_local_edges_are_consistent_with_adj():
     g = random_graph(14, 0.3, seed=5)
-    sub = extract_ego_subgraph(g, (0, 1), radius=2)
+    sub = labeled_subgraph(g, (0, 1), radius=2)
     for i, j in sub.local_edges():
         assert i in sub.adj[j] and j in sub.adj[i]
     # induced: every original edge between members appears
@@ -238,11 +242,11 @@ def test_labels_invariant_under_node_relabeling():
 def test_hop_cap_limits_and_is_deterministic():
     # star: node 0 joined to 30 leaves, plus the pair edge (0, 1)
     g = Graph.from_edges(31, [(0, i) for i in range(1, 31)])
-    full = extract_ego_subgraph(g, (0, 1), radius=1)
+    full = labeled_subgraph(g, (0, 1), radius=1)
     assert full.n == 31
-    capped = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5)
+    capped = labeled_subgraph(g, (0, 1), radius=1, max_per_hop=5)
     assert capped.n == 7  # both targets + 5 sampled leaves
-    again = extract_ego_subgraph(g, (0, 1), radius=1, max_per_hop=5)
+    again = labeled_subgraph(g, (0, 1), radius=1, max_per_hop=5)
     assert capped == again
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ import scipy.sparse as sp
 from unilp.autodiff import PROB_EPS, Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.labeling import LabeledSubgraph, LabelVocab, labeled_subgraph
+from unilp.labeling import LabelVocab, labeled_subgraph
 from unilp.model import (
     ContextSet,
     _assemble_batch,
@@ -175,13 +177,11 @@ def test_assemble_batch_matches_per_node_loop(dataset):
     assert max(wide.labels)[0] > 3 and max(deep.labels, key=lambda t: t[1])[1] > 2
 
 
-def test_assemble_batch_rejects_unlabeled_and_malformed(dataset):
+def test_assemble_batch_rejects_empty_and_malformed(dataset):
     sub = sample_context(dataset, 1, seed=0).positives[0]
     with pytest.raises(ConfigError):
         _assemble_batch([], LabelVocab())
-    with pytest.raises(ConfigError):
-        _assemble_batch([sub, LabeledSubgraph(nodes=sub.nodes, adj=sub.adj, radius=1)], LabelVocab())
-    bad = sub.with_labels([(1, 1)] + list(sub.labels[1:]))
+    bad = dataclasses.replace(sub, labels=((1, 1),) + sub.labels[1:])
     with pytest.raises(ConfigError, match="malformed label"):
         _assemble_batch([sub, bad], LabelVocab())
 
@@ -294,14 +294,6 @@ def test_icl_mode_requires_context(params, dataset):
     empty = ContextSet(positives=(), negatives=())
     with pytest.raises(ConfigError):
         forward(params, SMALL, dataset.observed, (0, 9), empty)
-
-
-def test_context_set_rejects_unlabeled(dataset):
-    from unilp.labeling import extract_ego_subgraph
-
-    bare = extract_ego_subgraph(dataset.observed, (0, 1), 1)
-    with pytest.raises(ConfigError):
-        ContextSet(positives=(bare,), negatives=())
 
 
 def test_batch_loss_matches_individual_losses(params, dataset):

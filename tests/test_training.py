@@ -154,7 +154,6 @@ def test_sample_context_set(tri_dataset):
     ctx = sample_context(tri_dataset, k=7, seed=2)
     assert len(ctx.positives) == len(ctx.negatives) == 7
     assert ctx.size == 14
-    assert ctx.source == "target-graph"
     edges = tri_dataset.observed.edge_set()
     assert {s.pair for s in ctx.positives} <= edges
     assert not {s.pair for s in ctx.negatives} & tri_dataset.full_edges
