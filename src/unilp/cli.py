@@ -397,11 +397,26 @@ def _build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("generate", help="write a synthetic graph as an edge list")
+    # options that several subcommands share, each declared once
+    split = _Parser(add_help=False)
+    split.add_argument("--split", required=True)
+    split.add_argument("--name", default=None)
+    checkpoint = _Parser(add_help=False)
+    checkpoint.add_argument("--checkpoint", required=True)
+    scoring = _Parser(add_help=False)
+    scoring.add_argument("--ratio", type=float, default=0.5)
+    scoring.add_argument("--seeds", default="0")
+    scoring.add_argument("--hits-k", type=int, default=50)
+    scoring.add_argument("--jobs", type=int, default=1)
+    scoring.add_argument("--out", default=None)
+    lattice = _Parser(add_help=False)
+    lattice.add_argument("--rows", type=int, default=0)
+    lattice.add_argument("--cols", type=int, default=0)
+    lattice.add_argument("--torus", action="store_true")
+
+    p = sub.add_parser("generate", parents=[lattice],
+                       help="write a synthetic graph as an edge list")
     p.add_argument("--kind", required=True, choices=("grid", "triangular", "sbm"))
-    p.add_argument("--rows", type=int, default=0)
-    p.add_argument("--cols", type=int, default=0)
-    p.add_argument("--torus", action="store_true")
     p.add_argument("--blocks", default="", help="comma-separated block sizes (sbm)")
     p.add_argument("--p-in", type=float, default=0.1)
     p.add_argument("--p-out", type=float, default=0.01)
@@ -416,10 +431,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("heuristic", help="score a split's test slice with a classic heuristic")
+    p = sub.add_parser("heuristic", parents=[split],
+                       help="score a split's test slice with a classic heuristic")
     p.add_argument("--kind", required=True, choices=HEURISTIC_KINDS)
-    p.add_argument("--split", required=True)
-    p.add_argument("--name", default=None)
     p.add_argument("--katz-beta", type=float, default=0.005)
     p.add_argument("--katz-len", type=int, default=5)
     p.add_argument("--hits-k", type=int, default=50)
@@ -439,10 +453,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", default=None, help="per-epoch CSV trace")
     p.set_defaults(func=_cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="continue training a checkpoint on one split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--name", default=None)
+    p = sub.add_parser("finetune", parents=[checkpoint, split],
+                       help="continue training a checkpoint on one split")
     p.add_argument("--n-links", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -452,52 +464,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_finetune)
 
-    p = sub.add_parser("eval", help="held-out metrics for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--name", default=None)
+    p = sub.add_parser("eval", parents=[checkpoint, split, scoring],
+                       help="held-out metrics for a checkpoint")
     p.add_argument("--context-size", type=int, default=400)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--seeds", default="0")
     p.add_argument("--perturb", choices=PERTURB_KINDS, default=None)
-    p.add_argument("--hits-k", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="metric vs context size on nested contexts")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--name", default=None)
+    p = sub.add_parser("sweep", parents=[checkpoint, split, scoring],
+                       help="metric vs context size on nested contexts")
     p.add_argument("--sizes", required=True, help="comma-separated context sizes")
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--hits-k", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("perturb", help="baseline vs corrupted-context evaluation")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--name", default=None)
+    p = sub.add_parser("perturb", parents=[checkpoint, split, scoring],
+                       help="baseline vs corrupted-context evaluation")
     p.add_argument("--kind", required=True, choices=PERTURB_KINDS)
     p.add_argument("--context-size", type=int, default=400)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--hits-k", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("verify-pattern", help="exact link rates given 2/3-edge paths")
+    p = sub.add_parser("verify-pattern", parents=[lattice],
+                       help="exact link rates given 2/3-edge paths")
     p.add_argument("--edges", default=None)
     p.add_argument("--kind", choices=("grid", "triangular"), default=None)
-    p.add_argument("--rows", type=int, default=0)
-    p.add_argument("--cols", type=int, default=0)
-    p.add_argument("--torus", action="store_true")
     p.add_argument("--anchors", default=None, help="restrict first endpoints (comma-separated)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_pattern)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .errors import ConfigError, DataError, NumericError
 from .graphs import (
     PAIR_ENUMERATION_GUARD,
     Graph,
+    SbmSpec,
     canonical_pair,
     count_simple_paths,
     derive_seed_int,
@@ -39,6 +39,8 @@ SCORE_CHUNK = 64
 FLIP_LABEL = "flip_label"
 RANDOM_CONTEXT = "random_context"
 PERTURB_KINDS = (FLIP_LABEL, RANDOM_CONTEXT)
+#: The unrelated graph that random_context draws its contexts from.
+RANDOM_CONTEXT_SBM = SbmSpec(block_sizes=(60, 60), p_in=0.1, p_out=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ def pattern_stats(g: Graph, link_set=None, anchors=None) -> PatternStats:
 # context perturbations
 
 
-def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None,
+def perturb_context(context: ContextSet, kind: str, seed: int = 0,
                     config: ModelConfig = ModelConfig()) -> ContextSet:
     """Return a corrupted copy of the context.
 
@@ -161,12 +163,9 @@ def perturb_context(context: ContextSet, kind: str, seed: int = 0, sbm_spec=None
     if kind == FLIP_LABEL:
         return ContextSet(positives=context.negatives, negatives=context.positives)
     if kind == RANDOM_CONTEXT:
-        from .graphs import SbmSpec
         from .training import LinkDataset, build_context
 
-        if sbm_spec is None:
-            sbm_spec = SbmSpec(block_sizes=(60, 60), p_in=0.1, p_out=0.02)
-        g = generate_sbm(sbm_spec, derive_seed_int(seed, "random-ctx-graph"))
+        g = generate_sbm(RANDOM_CONTEXT_SBM, derive_seed_int(seed, "random-ctx-graph"))
         return build_context(
             LinkDataset.whole_graph("random-context", g), config, len(context.positives),
             len(context.negatives), derive_seed_int(seed, "random-ctx-pairs"),
@@ -321,8 +320,8 @@ class EvalReport:
 
 
 def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
-                   ratio: float = 0.5, seeds=(0,), perturb=None, sbm_spec=None,
-                   hits_k: int = 50, jobs: int = 1, experiment: str = "eval") -> EvalReport:
+                   ratio: float = 0.5, seeds=(0,), perturb=None, hits_k: int = 50,
+                   jobs: int = 1) -> EvalReport:
     """Score the dataset's test slice under fresh contexts, one run per seed.
 
     `context_size` is the total number of context links; `ratio` is the
@@ -338,7 +337,7 @@ def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
     pos, neg = list(dataset.split.test_pos), list(dataset.split.test_neg)
     if not pos or not neg:
         raise DataError(f"dataset {dataset.name!r} has an empty test slice")
-    report = EvalReport(experiment=experiment, config={
+    report = EvalReport(experiment="eval", config={
         "model": config.to_dict(), "context_size": context_size, "ratio": ratio,
         "perturb": perturb, "seeds": list(seeds), "hits_k": hits_k,
         "dataset": dataset.name,
@@ -352,9 +351,8 @@ def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
             context = build_context(dataset, config, n_pos, n_neg,
                                     derive_seed_int(seed, "eval-ctx", dataset.name))
             if perturb is not None:
-                context = perturb_context(
-                    context, perturb, derive_seed_int(seed, "eval-perturb"), sbm_spec, config
-                )
+                context = perturb_context(context, perturb,
+                                          derive_seed_int(seed, "eval-perturb"), config)
         scores = score_pairs(params, config, dataset, pos + neg, context, jobs=jobs)
         value = hits_at_k(scores[: len(pos)], scores[len(pos):], k_eff)
         report.add(dataset.name, config.mode, context_size, ratio, perturb,
@@ -377,17 +375,10 @@ def spearman(xs, ys) -> float:
         raise ConfigError("spearman needs at least two points")
 
     def ranks(a):
-        order = np.argsort(a, kind="stable")
-        r = np.empty(a.size, dtype=np.float64)
-        sorted_a = a[order]
-        i = 0
-        while i < a.size:
-            j = i
-            while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-                j += 1
-            r[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
-        return r
+        # equal values share the mean 1-based rank of their sorted positions
+        _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+        starts = np.cumsum(counts) - counts
+        return (starts + (counts + 1) / 2)[inverse]
 
     rx, ry = ranks(xs), ranks(ys)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
@@ -408,6 +399,8 @@ def context_size_sweep(params, config: ModelConfig, dataset, sizes, ratio: float
     """
     if config.mode == MODE_NO_CONTEXT:
         raise ConfigError("context_size_sweep requires a context-conditioned mode")
+    if not 0.0 <= ratio <= 1.0:
+        raise ConfigError(f"ratio must lie in [0, 1], got {ratio}")
     from .training import build_context
 
     sizes = sorted(set(int(s) for s in sizes))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number_fields
 from .graphs import Graph, pair_index
 
 KINDS = ("cn", "aa", "ra", "pa", "sp", "katz")
@@ -47,6 +47,7 @@ class Heuristic:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown heuristic {self.kind!r}; choose from {KINDS}")
+        check_number_fields(self, ints=("katz_len",), reals=("katz_beta",))
         if self.katz_beta <= 0:
             raise ConfigError("katz_beta must be positive")
         if self.katz_len < 1:

@@ -7,7 +7,8 @@ context instead of memorizing one. Model selection is a merged validation
 metric: held-out Hits@K averaged over the validation slices of the given
 datasets, with early stopping on patience and the best checkpoint returned.
 Both pretraining and finetuning build their (query, context, label) items
-with `training_item`; only the seeds of the contexts differ.
+with `training_item`, only the seeds of the contexts differ, and both take
+each optimizer step through the one update step that `_updater` makes.
 
 Every context, in training, validation, evaluation, sweeps and random-
 context perturbations, is drawn by `build_context`, and every query and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -227,8 +229,27 @@ def training_item(ds: LinkDataset, pair, label: float, model_config: ModelConfig
 # pretraining
 
 
-def _validation_slice(ds: LinkDataset, cap: int = MERGED_VALIDATION_CAP):
-    return ds.split.valid_pos[:cap], ds.split.valid_neg[:cap]
+def _updater(params: dict, model_config: ModelConfig, train_config: TrainConfig):
+    """The one training update of pretrain and finetune: `update(items)`
+    runs batch_loss, back-propagates, steps `params` in place and returns
+    the mean loss. It holds the last loss tensor, whose pullbacks reach every
+    forward array of its batch, until the next forward pass has returned, so
+    across validation and epoch ends too. Any other lifetime costs warm epochs
+    page faults: freed earlier, the heap shrinks between batches; held through
+    the next step, two graphs live at once (the heap trap in CHANGES.md). A
+    test in tests/test_training.py pins this lifetime."""
+    opt = Optimizer(kind=train_config.optimizer, lr=train_config.lr)
+    held = None
+
+    def update(items) -> float:
+        nonlocal held
+        tape = Tape()
+        held = batch_loss(params, model_config, items, tape)  # frees the previous graph
+        tape.backward(held)
+        opt_step(opt, params)
+        return held.item()
+
+    return update
 
 
 def _merged_validation(params, model_config, val_datasets, val_contexts, hits_k):
@@ -236,7 +257,8 @@ def _merged_validation(params, model_config, val_datasets, val_contexts, hits_k)
 
     metrics = []
     for ds, context in zip(val_datasets, val_contexts):
-        pos, neg = _validation_slice(ds)
+        cap = MERGED_VALIDATION_CAP
+        pos, neg = ds.split.valid_pos[:cap], ds.split.valid_neg[:cap]
         if not pos or not neg:
             raise DataError(f"dataset {ds.name!r} has an empty validation slice")
         scores = score_pairs(params, model_config, ds, list(pos) + list(neg), context)
@@ -282,7 +304,7 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
         raise ConfigError("pretrain needs at least one validation dataset")
     seed = train_config.seed
     params = init_params(model_config, derive_seed_int(seed, "init"))
-    opt = Optimizer(kind=train_config.optimizer, lr=train_config.lr)
+    update = _updater(params, model_config, train_config)
     pools = [
         build_training_pool(ds.observed, derive_seed_int(seed, "pool", ds.name))
         for ds in train_datasets
@@ -316,11 +338,7 @@ def pretrain(train_datasets, val_datasets, model_config: ModelConfig, train_conf
                         for j, (ds_index, pair, label) in enumerate(batch)
                     ]
                     counter += len(batch)
-                    tape = Tape()
-                    loss = batch_loss(params, model_config, items, tape)
-                    tape.backward(loss)
-                    opt_step(opt, params)
-                    loss_sum += loss.item() * len(items)
+                    loss_sum += update(items) * len(items)
                     loss_n += len(items)
                 metric = _merged_validation(params, model_config, val_datasets, val_contexts,
                                             train_config.hits_k)
@@ -376,28 +394,25 @@ def finetune(params: dict, dataset: LinkDataset, n_links: int, steps: int,
         exclude=dataset.full_edges,
     )
     pool = [(p, 1.0) for p in positives] + [(p, 0.0) for p in negatives]
-    opt = Optimizer(kind=train_config.optimizer, lr=train_config.lr)
+    update = _updater(new_params, model_config, train_config)
+    batches = _shuffled_batches(len(pool), train_config.batch_size, seed)
     losses = []
-    cursor = []
-    pass_index = 0
-    for step_index in range(steps):
-        if not cursor:
-            order = derive_rng(seed, "finetune-shuffle", pass_index).permutation(len(pool))
-            cursor = list(order)
-            pass_index += 1
-        take = cursor[: train_config.batch_size]
-        cursor = cursor[train_config.batch_size :]
+    for step_index, take in enumerate(itertools.islice(batches, steps)):
         items = [
             training_item(dataset, *pool[i], model_config, train_config.context_k,
                           (seed, "finetune-ctx", step_index, int(i)))
             for i in take
         ]
-        tape = Tape()
-        loss = batch_loss(new_params, model_config, items, tape)
-        tape.backward(loss)
-        opt_step(opt, new_params)
-        losses.append(loss.item())
+        losses.append(update(items))
     return new_params, losses
+
+
+def _shuffled_batches(pool_size: int, batch_size: int, seed: int):
+    """Endless batches of pool positions, freshly shuffled for each pass."""
+    for pass_index in itertools.count():
+        order = derive_rng(seed, "finetune-shuffle", pass_index).permutation(pool_size)
+        for lo in range(0, pool_size, batch_size):
+            yield order[lo : lo + batch_size]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,12 @@ def test_heuristic_katz_flags(ws, capsys):
     assert capsys.readouterr().out.startswith("katz hits@21 ")
 
 
+def test_heuristic_rejects_non_finite_katz_beta(ws, capsys):
+    assert main(["heuristic", "--kind", "katz", "--katz-beta", "nan",
+                 "--split", str(ws / "tri.split.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: katz_beta must be a finite real number")
+
+
 def test_heuristic_rejects_split_with_out_of_range_endpoint(tmp_path, capsys):
     split = tmp_path / "bad.split.json"
     split.write_text(json.dumps({
@@ -280,8 +286,9 @@ def test_eval_errors(ws, tmp_path):
                  "--split", split]) == 2
     assert main(["eval", "--checkpoint", str(ws / "plain.ckpt.json"),
                  "--split", split, "--perturb", "typo"]) == 1
-    assert main(["eval", "--checkpoint", str(ws / "plain.ckpt.json"),
-                 "--split", split, "--ratio", "1.5"]) == 1
+    for ratio in ("1.5", "nan"):
+        assert main(["eval", "--checkpoint", str(ws / "plain.ckpt.json"),
+                     "--split", split, "--ratio", ratio]) == 1
 
 
 def test_sweep_command(ws, tmp_path, capsys):
@@ -302,6 +309,14 @@ def test_sweep_command(ws, tmp_path, capsys):
 def test_sweep_rejects_no_context_checkpoint(ws):
     assert main(["sweep", "--checkpoint", str(ws / "plain.ckpt.json"),
                  "--split", str(ws / "tri.split.json"), "--sizes", "2,4"]) == 1
+
+
+@pytest.mark.parametrize("ratio", ["nan", "1.5"])
+def test_sweep_rejects_ratio_outside_unit_interval(ws, capsys, ratio):
+    assert main(["sweep", "--checkpoint", str(ws / "icl.ckpt.json"),
+                 "--split", str(ws / "tri.split.json"), "--sizes", "4,12",
+                 "--ratio", ratio]) == 1
+    assert capsys.readouterr().err.startswith("error: ratio must lie in [0, 1]")
 
 
 def test_perturb_command(ws, tmp_path, capsys):

@@ -355,8 +355,9 @@ def test_evaluate_model_icl_and_perturbations(tri_dataset):
 
 def test_evaluate_model_validation(tri_dataset):
     params = init_params(SMALL_PLAIN, seed=0)
-    with pytest.raises(ConfigError):
-        evaluate_model(params, SMALL_PLAIN, tri_dataset, context_size=10, ratio=1.5)
+    for ratio in (1.5, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="ratio must lie in"):
+            evaluate_model(params, SMALL_PLAIN, tri_dataset, context_size=10, ratio=ratio)
     with pytest.raises(ConfigError):
         evaluate_model(params, SMALL_PLAIN, tri_dataset, context_size=0)
     whole = LinkDataset.whole_graph("whole", tri_dataset.observed)
@@ -378,6 +379,37 @@ def test_spearman_frozen_cases():
         spearman([1, 2], [1, 2, 3])
     with pytest.raises(ConfigError):
         spearman([1], [1])
+
+
+def reference_spearman(xs, ys):
+    """Spearman over average ranks found by walking each run of ties in
+    sorted order: what spearman must equal bit for bit."""
+
+    def ranks(a):
+        order = np.argsort(a, kind="stable")
+        r = np.empty(a.size, dtype=np.float64)
+        i = 0
+        while i < a.size:
+            j = i
+            while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+                j += 1
+            r[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+            i = j + 1
+        return r
+
+    rx, ry = ranks(np.asarray(xs, dtype=np.float64)), ranks(np.asarray(ys, dtype=np.float64))
+    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
+        return 0.0
+    rx, ry = rx - rx.mean(), ry - ry.mean()
+    return float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
+
+
+def test_spearman_matches_reference_on_tied_inputs():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(2, 12))
+        xs, ys = rng.integers(0, 4, n) / 4, rng.integers(0, 5, n) * 0.1
+        assert spearman(xs, ys) == reference_spearman(xs, ys), (xs, ys)
 
 
 def test_context_size_sweep(tri_dataset):
@@ -409,3 +441,6 @@ def test_context_size_sweep_validation(tri_dataset):
         context_size_sweep(icl_params, SMALL_ICL, tri_dataset, sizes=())
     with pytest.raises(ConfigError):
         context_size_sweep(icl_params, SMALL_ICL, tri_dataset, sizes=(0, 2))
+    for ratio in (1.5, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="ratio must lie in"):
+            context_size_sweep(icl_params, SMALL_ICL, tri_dataset, sizes=(2, 4), ratio=ratio)

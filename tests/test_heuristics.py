@@ -108,6 +108,11 @@ def test_unknown_kind_rejected():
         Heuristic(kind="katz", katz_beta=0.0)
     with pytest.raises(ConfigError):
         Heuristic(kind="katz", katz_len=0)
+    for bad in (dict(katz_beta=float("nan")), dict(katz_beta=float("inf")),
+                dict(katz_beta="0.01"), dict(katz_beta=True), dict(katz_len=2.0),
+                dict(katz_len="3"), dict(katz_len=None)):
+        with pytest.raises(ConfigError, match="must be"):
+            Heuristic(kind="katz", **bad)
 
 
 def test_counting_scores_on_triangle():

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from unilp.errors import ConfigError, DataError
 import unilp.evaluation
+import unilp.training
 from unilp.evaluation import (
     RANDOM_CONTEXT,
     SCORE_CHUNK,
@@ -488,6 +490,47 @@ def test_finetune_validation(tri_dataset):
         finetune(start, tri_dataset, 5, -1, SMALL_PLAIN, tc)
     with pytest.raises(DataError):
         finetune(start, tri_dataset, tri_dataset.observed.edge_count + 1, 1, SMALL_PLAIN, tc)
+
+
+# ---------------------------------------------------------------------------
+# lifetime of the previous batch's autodiff graph (the heap trap in CHANGES.md)
+
+
+def test_previous_graph_lives_until_the_next_forward_pass(monkeypatch, tri_dataset):
+    """The update step keeps a batch's graph alive until the next forward
+    pass has returned, through validation and epoch ends, and frees it
+    before the next optimizer step; freed earlier or held longer, it costs
+    warm pretraining epochs page faults."""
+    refs = []  # a weak reference to each batch's loss values, in order
+    checks = {"forward": 0, "step": 0}
+    original_loss, original_step = unilp.training.batch_loss, unilp.training.opt_step
+
+    def loss_spy(*args):
+        if refs:  # the previous graph is still alive when a forward pass starts
+            assert refs[-1]() is not None
+            checks["forward"] += 1
+        loss = original_loss(*args)
+        refs.append(weakref.ref(loss.values))
+        return loss
+
+    def step_spy(*args):
+        if len(refs) > 1:  # ... and freed once the next forward pass has returned
+            assert refs[-2]() is None
+            checks["step"] += 1
+        return original_step(*args)
+
+    monkeypatch.setattr(unilp.training, "batch_loss", loss_spy)
+    monkeypatch.setattr(unilp.training, "opt_step", step_spy)
+    tc = TrainConfig(seed=0, max_epochs=2, patience=2, batch_size=8, per_graph_cap=24,
+                     context_k=3, eval_context_size=6, hits_k=2)
+    _, record = pretrain([tri_dataset], [tri_dataset], SMALL_ICL, tc)
+    # both epochs ran, so the hold crossed a validation pass and an epoch end
+    assert len(record.epochs) == 2 and len(refs) == 2 * 3
+    assert checks == {"forward": 5, "step": 5}
+    refs.clear()
+    checks.update(forward=0, step=0)
+    _, losses = finetune(init_params(SMALL_ICL, seed=0), tri_dataset, 5, 4, SMALL_ICL, tc)
+    assert len(losses) == 4 and checks == {"forward": 3, "step": 3}
 
 
 # ---------------------------------------------------------------------------
