@@ -19,6 +19,11 @@ routine per stack entry as the 1-D/2-D form would, and reductions run over
 a C-contiguous last axis (`dot_rows` as one einsum inner loop per row), so
 a batched forward pass reproduces the per-query values bit for bit.
 
+Gradients are stored without copies: a pullback's array (or a view of it)
+may become the `.grad` of several tensors at once, so no stored gradient is
+ever modified in place. A second contribution makes a new array, and every
+stored gradient is marked read-only.
+
 An op records a pullback only when some operand needs a gradient. Scoring
 wraps the parameters with `const`, so its forward passes record no graph,
 and each intermediate is freed as soon as the next op is done with it.
@@ -78,10 +83,10 @@ def const(values) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray):
     if g.shape != t.values.shape:
         raise ConfigError(f"gradient shape {g.shape} != value shape {t.values.shape}")
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
-    else:
-        t.grad += g
+    # stored uncopied, so possibly shared (see the module docstring); asarray
+    # only wraps the numpy scalar a 0-d product gives
+    t.grad = np.asarray(g if t.grad is None else t.grad + g)
+    t.grad.flags.writeable = False
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -374,11 +379,12 @@ class Tape:
             raise ConfigError("spmm expects a scipy sparse matrix on the left")
         if x.values.ndim != 2 or s.shape[1] != x.values.shape[0]:
             raise ConfigError(f"spmm shapes incompatible: {s.shape} @ {x.shape}")
-        st = s.T.tocsr()
 
         def pull(g):
             if x._needs:
-                _accumulate(x, np.asarray(st @ g))
+                # s.T is a CSC view of s: the product sums in the order of
+                # s.T.tocsr() @ g without building that copy
+                _accumulate(x, np.asarray(s.T @ g))
 
         return self._emit(np.asarray(s @ x.values), (x,), pull, "spmm")
 

@@ -168,6 +168,8 @@ def _cmd_split(args):
 def _cmd_heuristic(args):
     ds = _split_dataset(args)
     h = Heuristic(kind=args.kind, katz_beta=args.katz_beta, katz_len=args.katz_len)
+    if args.hits_k < 1:
+        raise ConfigError("hits_k must be >= 1")
     pos, neg = list(ds.split.test_pos), list(ds.split.test_neg)
     if not pos or not neg:
         raise DataError("split has an empty test slice")

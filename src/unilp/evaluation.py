@@ -319,6 +319,17 @@ class EvalReport:
         })
 
 
+def _checked_runs(seeds, hits_k: int) -> list:
+    """The seeds as a list, after the checks every run needs before any
+    context is drawn or pair scored: at least one seed, and hits_k >= 1."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
+    if hits_k < 1:
+        raise ConfigError("hits_k must be >= 1")
+    return seeds
+
+
 def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
                    ratio: float = 0.5, seeds=(0,), perturb=None, hits_k: int = 50,
                    jobs: int = 1) -> EvalReport:
@@ -334,12 +345,13 @@ def evaluate_model(params, config: ModelConfig, dataset, context_size: int,
         raise ConfigError(f"ratio must lie in [0, 1], got {ratio}")
     if context_size < 1:
         raise ConfigError("context_size must be >= 1")
+    seeds = _checked_runs(seeds, hits_k)
     pos, neg = list(dataset.split.test_pos), list(dataset.split.test_neg)
     if not pos or not neg:
         raise DataError(f"dataset {dataset.name!r} has an empty test slice")
     report = EvalReport(experiment="eval", config={
         "model": config.to_dict(), "context_size": context_size, "ratio": ratio,
-        "perturb": perturb, "seeds": list(seeds), "hits_k": hits_k,
+        "perturb": perturb, "seeds": seeds, "hits_k": hits_k,
         "dataset": dataset.name,
     })
     k_eff = min(hits_k, len(neg))
@@ -406,12 +418,13 @@ def context_size_sweep(params, config: ModelConfig, dataset, sizes, ratio: float
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes or sizes[0] < 1:
         raise ConfigError("sizes must be positive integers")
+    seeds = _checked_runs(seeds, hits_k)
     pos, neg = list(dataset.split.test_pos), list(dataset.split.test_neg)
     if not pos or not neg:
         raise DataError(f"dataset {dataset.name!r} has an empty test slice")
     report = EvalReport(experiment="context-size-sweep", config={
         "model": config.to_dict(), "sizes": sizes, "ratio": ratio,
-        "seeds": list(seeds), "hits_k": hits_k, "dataset": dataset.name,
+        "seeds": seeds, "hits_k": hits_k, "dataset": dataset.name,
     })
     k_eff = min(hits_k, len(neg))
     trends = []

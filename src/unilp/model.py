@@ -1,7 +1,9 @@
 """Link predictor with in-context adaptation.
 
 Every candidate link becomes a labeled ego subgraph (see labeling). A shared
-message-passing encoder maps subgraphs to vectors. In "icl" mode the query
+message-passing encoder maps subgraphs to vectors; its first layer runs on
+the label vocabulary table (122 rows by default), and each node picks its
+own and its neighbors' rows of the result. In "icl" mode the query
 vector attends over encoded context links, sampled from the observed graph
 with known labels; attention looks only at structure (the query/context
 embeddings), while the label of each context member enters additively just
@@ -159,13 +161,17 @@ def init_params(config: ModelConfig, seed: int) -> dict:
 
 def _assemble_batch(subs, vocab: LabelVocab):
     """Stack subgraphs into one disjoint block: label indices, the constant
-    neighbor-mean operator, and the constant per-subgraph mean-pool operator.
+    neighbor-mean operator over nodes, the same operator over label slots,
+    and the constant per-subgraph mean-pool operator.
 
     Built with array operations from the subgraphs' label tuples and
     adjacency rows, each streamed into one array by np.fromiter; row i of
     the neighbor-mean operator holds 1/deg(i) at each neighbor's column
     (isolated nodes keep an all-zero row), row s of the pool operator 1/n_s
-    at each node of subgraph s."""
+    at each node of subgraph s. The label-slot operator (N, vocab size) has
+    the neighbor-mean operator's rows with column j replaced by idx[j], so
+    its rows may repeat a column, and it applied to a per-label table equals
+    the neighbor-mean operator applied to that table's gathered rows."""
     if not subs:
         raise ConfigError("cannot encode an empty list of subgraphs")
     sizes = np.fromiter((sub.n for sub in subs), dtype=np.int64, count=len(subs))
@@ -183,18 +189,29 @@ def _assemble_batch(subs, vocab: LabelVocab):
     weights = np.repeat(1.0 / np.maximum(deg, 1), deg)  # isolated rows repeat 0 times
     indptr = np.concatenate(([0], np.cumsum(deg)))
     agg = sp.csr_matrix((weights, cols, indptr), shape=(total, total))
+    labels_agg = sp.csr_matrix((weights, idx[cols], indptr), shape=(total, vocab.size))
     pool = sp.csr_matrix(
         (np.repeat(1.0 / sizes, sizes), np.arange(total), np.concatenate(([0], np.cumsum(sizes)))),
         shape=(len(subs), total),
     )
-    return idx, agg, pool
+    return idx, agg, labels_agg, pool
 
 
 def encode_subgraphs(params: dict, config: ModelConfig, subs, tape: Tape) -> Tensor:
-    """Encode a list of labeled subgraphs; returns an (len(subs), F) tensor."""
-    idx, agg, pool = _assemble_batch(subs, config.vocab)
-    h = tape.take_rows(params["embed.table"], idx)
-    for layer in range(config.encoder_layers):
+    """Encode a list of labeled subgraphs; returns an (len(subs), F) tensor.
+
+    A node's layer-0 input is its label's row of embed.table, so layer 0
+    multiplies the vocabulary-sized table, not the N gathered rows: a node's
+    own term is its label's row of table @ enc.0.self, its neighbor mean the
+    label-slot operator applied to table @ enc.0.neigh. Later layers act on
+    the (N, F) node states.
+    """
+    idx, agg, labels_agg, pool = _assemble_batch(subs, config.vocab)
+    table = params["embed.table"]
+    own = tape.take_rows(tape.matmul(table, params["enc.0.self"]), idx)
+    nbr = tape.spmm(labels_agg, tape.matmul(table, params["enc.0.neigh"]))
+    h = tape.leaky_relu(tape.add(own, nbr), config.leaky_slope)
+    for layer in range(1, config.encoder_layers):
         own = tape.matmul(h, params[f"enc.{layer}.self"])
         nbr = tape.matmul(tape.spmm(agg, h), params[f"enc.{layer}.neigh"])
         h = tape.leaky_relu(tape.add(own, nbr), config.leaky_slope)

@@ -221,6 +221,50 @@ def test_gradients_accumulate_across_reuse():
     assert x.grad.tolist() == [2.0, 2.0]
 
 
+def test_shared_gradient_arrays_are_stored_read_only():
+    # one upstream array reaches several tensors uncopied: both operands of
+    # an equal-shape add, a reshape chain, and tensors used twice
+    w = derive_rng(0, "test-grad-storage").normal(size=6)
+    a, b, c, d, e = (param(safe_values((2, 3), seed)) for seed in range(5))
+    tape = Tape()
+    shared = tape.add(a, b)
+    chain = tape.reshape(tape.reshape(c, (3, 2)), (2, 3))
+    twice = tape.add(tape.add(shared, chain), c)
+    doubled = tape.add(tape.add(d, d), e)
+    total = tape.add(twice, doubled)
+    loss = tape.matmul(tape.reshape(total, (6,)), const(w))
+    tape.backward(loss)
+    upstream = w.reshape(2, 3)
+    for t, factor in ((a, 1.0), (b, 1.0), (c, 2.0), (d, 2.0), (e, 1.0)):
+        assert np.array_equal(t.grad, factor * upstream)
+        assert not t.grad.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t.grad += 1.0
+    s = param(np.array(0.5))
+    tape = Tape()
+    tape.backward(tape.add(tape.sigmoid(s), s))
+    assert s.grad.shape == () and not s.grad.flags.writeable
+
+
+def test_spmm_gradient_equals_transposed_csr_product_bitwise():
+    rng = derive_rng(0, "test-spmm-transpose")
+    repeats = 0
+    for rows, cols, width in ((1, 1, 1), (7, 3, 2), (40, 25, 5), (60, 122, 48), (30, 4, 9)):
+        counts = rng.integers(0, 8, size=rows)
+        # unsorted column indices, with repeats inside a row
+        indices = rng.integers(0, cols, size=counts.sum())
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        s = sp.csr_matrix((rng.normal(size=counts.sum()), indices, indptr), shape=(rows, cols))
+        repeats += any(len(set(row)) < len(row) for row in np.split(s.indices, s.indptr[1:-1]))
+        x = param(rng.normal(size=(cols, width)))
+        g = rng.normal(size=(rows, width))
+        tape = Tape()
+        out = tape.spmm(s, x)
+        tape.backward(tape.dot_rows(tape.reshape(out, (rows * width,)), const(g.ravel())))
+        assert np.array_equal(x.grad, s.T.tocsr() @ g)
+    assert repeats >= 3
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     x = param(np.ones(3))

@@ -334,6 +334,38 @@ def test_perturb_command(ws, tmp_path, capsys):
     assert lines[2].split(",")[5] == "random_context"
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--context-size", "4"],
+    ["sweep", "--sizes", "2,4"],
+    ["perturb", "--kind", "flip_label", "--context-size", "4"],
+])
+def test_scoring_commands_reject_empty_seeds(ws, capsys, command):
+    assert main(command + ["--checkpoint", str(ws / "icl.ckpt.json"),
+                           "--split", str(ws / "tri.split.json"), "--seeds", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seeds must name at least one seed")
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "heuristic"])
+def test_hits_k_zero_fails_before_scoring(ws, capsys, monkeypatch, command):
+    import unilp.cli as cli
+    import unilp.evaluation as evaluation
+
+    scored = []
+    spy = lambda *args, **kwargs: scored.append(args)  # noqa: E731
+    monkeypatch.setattr(evaluation, "score_pairs", spy)
+    monkeypatch.setattr(cli, "score_batch", spy)
+    args = {
+        "eval": ["eval", "--checkpoint", str(ws / "icl.ckpt.json")],
+        "sweep": ["sweep", "--sizes", "2,4", "--checkpoint", str(ws / "icl.ckpt.json")],
+        "heuristic": ["heuristic", "--kind", "cn"],
+    }[command]
+    assert main(args + ["--split", str(ws / "tri.split.json"), "--hits-k", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: hits_k must be >= 1")
+    assert scored == []
+
+
 # ---------------------------------------------------------------------------
 # verify-pattern / transfer-probe / gradcheck
 

@@ -365,6 +365,23 @@ def test_evaluate_model_validation(tri_dataset):
         evaluate_model(params, SMALL_PLAIN, whole, context_size=10)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"seeds": ()}, "seeds must name at least one seed"),
+    ({"hits_k": 0}, "hits_k must be >= 1"),
+])
+def test_empty_seeds_and_bad_hits_k_fail_before_scoring(tri_dataset, monkeypatch, bad, message):
+    import unilp.evaluation as evaluation
+
+    scored = []
+    monkeypatch.setattr(evaluation, "score_pairs", lambda *args, **kwargs: scored.append(args))
+    params = init_params(SMALL_ICL, seed=0)
+    with pytest.raises(ConfigError, match=message):
+        evaluate_model(params, SMALL_ICL, tri_dataset, context_size=4, **bad)
+    with pytest.raises(ConfigError, match=message):
+        context_size_sweep(params, SMALL_ICL, tri_dataset, sizes=(2, 4), **bad)
+    assert scored == []
+
+
 # ---------------------------------------------------------------------------
 # Spearman and the context-size sweep
 

@@ -137,8 +137,11 @@ def test_batched_encoding_matches_and_is_row_independent(params, dataset):
 
 def reference_assemble_batch(subs, vocab):
     """The per-node loop over labels and adjacency that _assemble_batch's
-    array form must reproduce exactly."""
+    array form must reproduce exactly. The label-slot operator is built
+    from its CSR arrays, row by row in adjacency order, so a row keeps
+    repeated label columns as separate entries."""
     idx, a_r, a_c, a_d, p_r, p_c, p_d = [], [], [], [], [], [], []
+    l_ptr, l_col, l_d = [0], [], []
     offset = 0
     for s, sub in enumerate(subs):
         idx.extend(vocab.index(t) for t in sub.labels)
@@ -147,13 +150,20 @@ def reference_assemble_batch(subs, vocab):
                 a_r.append(offset + i)
                 a_c.append(offset + j)
                 a_d.append(1.0 / len(sub.adj[i]))
+                l_col.append(vocab.index(sub.labels[j]))
+                l_d.append(1.0 / len(sub.adj[i]))
+            l_ptr.append(len(l_col))
             p_r.append(s)
             p_c.append(offset + i)
             p_d.append(1.0 / sub.n)
         offset += sub.n
     agg = sp.csr_matrix((a_d, (a_r, a_c)), shape=(offset, offset))
+    labels_agg = sp.csr_matrix(
+        (np.array(l_d), np.array(l_col, dtype=np.int64), np.array(l_ptr, dtype=np.int64)),
+        shape=(offset, vocab.size),
+    )
     pool = sp.csr_matrix((p_d, (p_r, p_c)), shape=(len(subs), offset))
-    return np.array(idx, dtype=np.int64), agg, pool
+    return np.array(idx, dtype=np.int64), agg, labels_agg, pool
 
 
 def test_assemble_batch_matches_per_node_loop(dataset):
@@ -166,15 +176,61 @@ def test_assemble_batch_matches_per_node_loop(dataset):
     batches = [[isolated], [deep], [wide], [isolated, deep, wide] + members, members[:1]]
     for vocab in (LabelVocab(), LabelVocab(drnl_cap=3, dist_cap=2)):
         for subs in batches:
-            want_idx, want_agg, want_pool = reference_assemble_batch(subs, vocab)
-            idx, agg, pool = _assemble_batch(subs, vocab)
+            want_idx, *want_ops = reference_assemble_batch(subs, vocab)
+            idx, *ops = _assemble_batch(subs, vocab)
             assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
-            for got, want in ((agg, want_agg), (pool, want_pool)):
+            for got, want in zip(ops, want_ops, strict=True):
                 assert got.shape == want.shape
                 for part in ("indptr", "indices", "data"):
                     a, b = getattr(got, part), getattr(want, part)
                     assert a.dtype == b.dtype and np.array_equal(a, b), part
     assert max(wide.labels)[0] > 3 and max(deep.labels, key=lambda t: t[1])[1] > 2
+    # some node has two neighbours with one label: a repeated column
+    labels_agg = _assemble_batch([wide], LabelVocab())[2]
+    rows = np.split(labels_agg.indices, labels_agg.indptr[1:-1])
+    assert any(len(set(row)) < len(row) for row in rows)
+
+
+def reference_encode(params, cfg, subs, tape):
+    """The gathered form of the encoder: every node's label row is gathered
+    from embed.table, and each layer, the first included, multiplies the
+    (N, width) node block. encode_subgraphs must reproduce it up to the
+    summation order of layer 0's neighbour mean."""
+    idx, agg, _, pool = reference_assemble_batch(subs, cfg.vocab)
+    h = tape.take_rows(params["embed.table"], idx)
+    for layer in range(cfg.encoder_layers):
+        own = tape.matmul(h, params[f"enc.{layer}.self"])
+        nbr = tape.matmul(tape.spmm(agg, h), params[f"enc.{layer}.neigh"])
+        h = tape.leaky_relu(tape.add(own, nbr), cfg.leaky_slope)
+    return tape.spmm(pool, h)
+
+
+def test_encoder_matches_gathered_reference(dataset, monkeypatch):
+    import unilp.model as model_module
+
+    ctx = sample_context(dataset, 6, seed=5)
+    members = list(ctx.positives) + list(ctx.negatives)
+    edges = dataset.observed.edge_array().tolist()
+    queries = [dataset.subgraph(e, SMALL) for e in edges[:6]] + [dataset.subgraph((0, 30), SMALL)]
+    isolated = labeled_subgraph(Graph.from_edges(4, [(0, 1), (2, 3)]), (0, 1), radius=1)
+    subs = queries + members + [isolated, labeled_subgraph(triangular(), (0, 27), radius=3)]
+    items = [(q, ctx, float(i % 2)) for i, q in enumerate(queries)]
+    deep = ModelConfig.from_dict({**SMALL.to_dict(), "encoder_layers": 3, "embed_dim": 8,
+                                  "heads": 2, "drnl_cap": 3, "dist_cap": 2})
+    for cfg, seed in ((SMALL, 0), (deep, 1)):
+        params = init_params(cfg, seed)
+        got = encode_subgraphs(params, cfg, subs, Tape()).values
+        want = reference_encode(params, cfg, subs, Tape()).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got_loss, got_grads = batched_loss_and_grads(params, cfg, items)
+        monkeypatch.setattr(model_module, "encode_subgraphs", reference_encode)
+        want_loss, want_grads = batched_loss_and_grads(params, cfg, items)
+        monkeypatch.undo()
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        assert got_grads.keys() == want_grads.keys() == params.keys()
+        for name, want in want_grads.items():
+            gap = np.abs(got_grads[name] - want).max()
+            assert gap <= 1e-9 * np.abs(want).max(), (cfg.encoder_layers, name, gap)
 
 
 def test_assemble_batch_rejects_empty_and_malformed(dataset):
