@@ -18,6 +18,15 @@ does, and `transpose` permutes axes. Stacked matmuls call the same BLAS
 routine per stack entry as the 1-D/2-D form would, and reductions run over
 a C-contiguous last axis (`dot_rows` as one einsum inner loop per row), so
 a batched forward pass reproduces the per-query values bit for bit.
+`key_scores` fuses the attention scores' add, leaky_relu and `dot_rows`
+into one op that runs over a few queries at a time, so the (B, m, F') key
+block is never built whole when scoring; it gives the unfused chain's
+values and gradients bit for bit.
+
+`scale`, `concat` and `dot_rows` have no caller in the package: the tests'
+reference definitions of the model (the per-query loss, the per-head
+attention and contextualization loops) are written with them, and a
+hygiene test checks that no other public op goes uncalled.
 
 Gradients are stored without copies: a pullback's array (or a view of it)
 may become the `.grad` of several tensors at once, so no stored gradient is
@@ -44,6 +53,10 @@ CHECKPOINT_VERSION = 1
 
 #: Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-12
+
+#: Elements of the (B, m, F') key block that Tape.key_scores builds at once
+#: (3 queries at m = 400, F' = 48; never fewer than one query).
+KEY_SCORES_TILE = 1 << 16
 
 
 class Tensor:
@@ -316,6 +329,71 @@ class Tape:
                 _accumulate(v, _unbroadcast(g[..., None] * xv, vv.shape))
 
         return self._emit(np.einsum("...k,...k->...", xv, vv), (x, v), pull, "dot_rows")
+
+    def key_scores(self, query_key: Tensor, context_key: Tensor, vec: Tensor, slope: float) -> Tensor:
+        """Per-head attention scores dot_rows(leaky_relu(query_key +
+        context_key), vec), computed a few queries at a time.
+
+        query_key is (B, 1, F'), context_key (C, m, F') with C = B or 1 (one
+        context shared by every query), vec (H, k) with H * k = F'; returns
+        (B, m, H). Each tile of about KEY_SCORES_TILE elements of the
+        (B, m, F') key block is summed, activated and reduced in reused
+        buffers, so scoring never holds the whole block. Every step is
+        elementwise or reduces within one row (the einsum of dot_rows), so
+        the values are those of the unfused chain, bit for bit, for any tile
+        size. When an operand needs a gradient the activations and the
+        factor max(z > 0, slope) are kept at full size, and the pullback runs
+        the unfused chain's expressions, so gradients are bit-identical too.
+
+        Only the output is checked for finiteness. Every key entry lies in
+        exactly one (member, head) row, and a non-finite entry (from a
+        non-finite operand or an overflowing sum) makes that row's dot
+        product inf or nan (inf * 0 is nan), as does an overflow in the dot
+        product itself; leaky_relu keeps finite values finite. So the output
+        is non-finite exactly when one of add, leaky_relu or dot_rows would
+        have raised NumericError.
+        """
+        slope = float(slope)
+        if not 0.0 <= slope <= 1.0:
+            raise ConfigError(f"key_scores slope must be in [0, 1], got {slope}")
+        qv, cv, vv = query_key.values, context_key.values, vec.values
+        if (qv.ndim != 3 or qv.shape[1] != 1 or cv.ndim != 3 or cv.shape[0] not in (1, qv.shape[0])
+                or cv.shape[1] == 0 or vv.ndim != 2 or vv.size == 0
+                or not qv.shape[2] == cv.shape[2] == vv.size):
+            raise ConfigError(
+                f"key_scores needs (B, 1, F'), (B or 1, m >= 1, F') and (H, k) with H * k = F', "
+                f"got {qv.shape}, {cv.shape}, {vv.shape}"
+            )
+        batch, (m, width), (heads, k) = qv.shape[0], cv.shape[1:], vv.shape
+        shared = cv.shape[0] == 1
+        rows = max(1, KEY_SCORES_TILE // (m * width))
+        needs = query_key._needs or context_key._needs or vec._needs
+        z = np.empty((min(rows, batch), m, width))
+        # the pullback reads the activations and the factor of every query
+        acts = np.empty((batch, m, width) if needs else z.shape)
+        factor = np.empty_like(acts) if needs else None
+        out = np.empty((batch, m, heads))
+        for lo in range(0, batch, rows):
+            hi = min(lo + rows, batch)
+            zt = np.add(qv[lo:hi], cv if shared else cv[lo:hi], out=z[:hi - lo])
+            act = acts[lo:hi] if needs else acts[:hi - lo]
+            np.multiply(zt, slope, out=act)
+            np.maximum(zt, act, out=act)
+            if needs:
+                np.maximum(zt > 0, slope, out=factor[lo:hi])
+            out[lo:hi] = np.einsum("...k,...k->...", act.reshape(hi - lo, m, heads, k), vv)
+
+        def pull(g):
+            if vec._needs:
+                _accumulate(vec, _unbroadcast(g[..., None] * acts.reshape(batch, m, heads, k), vv.shape))
+            if query_key._needs or context_key._needs:
+                gz = (g[..., None] * vv).reshape(batch, m, width) * factor
+                if query_key._needs:
+                    _accumulate(query_key, _unbroadcast(gz, qv.shape))
+                if context_key._needs:
+                    _accumulate(context_key, _unbroadcast(gz, cv.shape))
+
+        return self._emit(out, (query_key, context_key, vec), pull, "key_scores")
 
     def transpose(self, x: Tensor, axes) -> Tensor:
         """Permute axes (a view; the gradient permutes back). Like reshape,

@@ -21,13 +21,14 @@ queries. Attention, contextualization and the MLP each run once per batch.
 The attention key of member i is leaky_relu([h_q, h_i] @ attn.key), with
 attn.key one (2F, F') parameter: its query half is applied to each query as
 a (1, F) row, its context half to each context as one (m, F) gemm (once per
-batch when the context is shared), and the two are summed by broadcasting
-over the (B, m, F') key block. Every other op is a stack whose entries make
-the same BLAS call and the same reduction a single query would, or is
-elementwise, so a query's probability does not depend on the batch it is
-scored in, and permuting a context permutes its attention weights bit for
-bit. `batch_loss` encodes each distinct subgraph object of a batch once and
-gathers rows for repeats.
+batch when the context is shared). One op, `Tape.key_scores`, sums the two
+halves, activates them and reduces each member's key per head, a few
+queries at a time, so scoring never builds the (B, m, F') key block. Every
+op is a stack whose entries make the same BLAS call and the same reduction
+a single query would, or is elementwise, so a query's probability does not
+depend on the batch it is scored in, and permuting a context permutes its
+attention weights bit for bit. `batch_loss` encodes each distinct subgraph
+object of a batch once and gathers rows for repeats.
 """
 
 from __future__ import annotations
@@ -244,17 +245,14 @@ def attention_scores(params: dict, config: ModelConfig, h_query: Tensor, h_conte
     m, dim = h_context.shape[1], h_query.shape[-1]
     # a member's key input is [h_query, h_member] @ attn.key: the two halves
     # are projected apart, each query once as a (1, F) row and each context
-    # once as an (m, F) gemm, and summed by broadcasting over (B, m, F')
+    # once as an (m, F) gemm; key_scores sums them tile by tile
     key = params["attn.key"]
     query_key = tape.matmul(tape.reshape(h_query, (batch, 1, dim)), tape.take_rows(key, np.arange(dim)))
     context_key = tape.matmul(h_context, tape.take_rows(key, np.arange(dim, 2 * dim)))
-    z = tape.leaky_relu(tape.add(query_key, context_key), config.leaky_slope)
-    # dot_rows keeps each member's score independent of the others, so
-    # reordering the context permutes the weights bit-exactly
-    scores = tape.dot_rows(
-        tape.reshape(z, (batch, m, config.heads, width)),
-        tape.reshape(params["attn.vec"], (config.heads, width)),
-    )
+    # each member's score is one row reduction of its own key, so reordering
+    # the context permutes the weights bit-exactly
+    vec = tape.reshape(params["attn.vec"], (config.heads, width))
+    scores = tape.key_scores(query_key, context_key, vec, config.leaky_slope)
     alpha = tape.softmax(tape.transpose(scores, (0, 2, 1)))
     if not lone:
         return alpha

@@ -31,6 +31,7 @@ from .errors import ConfigError, DataError, NumericError, check_number_fields
 from .graphs import (
     DataSplit,
     Graph,
+    canonical_pair,
     derive_seed_int,
     pair_index,
     sample_nonedges,
@@ -84,8 +85,9 @@ class LinkDataset:
 
     def subgraph(self, pair, config: ModelConfig):
         """Labeled ego subgraph on the observed graph, extracted with the
-        config's radius and hop cap; memoized."""
-        key = (tuple(pair), config.radius, config.max_per_hop)
+        config's radius and hop cap; memoized under the canonical pair, so
+        (u, v) and (v, u) give the same object."""
+        key = (canonical_pair(*pair), config.radius, config.max_per_hop)
         sub = self._subgraphs.get(key)
         if sub is None:
             sub = labeled_subgraph(self.observed, pair, config.radius,

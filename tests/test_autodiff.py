@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -370,6 +371,94 @@ def test_stacked_dot_rows_and_softmax_match_rows():
     for b in range(2):
         for h in range(3):
             assert np.array_equal(rows[b, h], Tape().softmax(const(scores[b, :, h])).values)
+
+
+def unfused_key_scores(tape, query_key, context_key, vec, slope):
+    """The chain key_scores replaces: add, leaky_relu, reshape, dot_rows."""
+    z = tape.leaky_relu(tape.add(query_key, context_key), slope)
+    return tape.dot_rows(tape.reshape(z, z.shape[:2] + vec.shape), vec)
+
+
+def key_scores_and_grads(op, values, needs, weights):
+    """key_scores output values and the gradients of sum(weights * output)
+    for the operands in `needs` (the others enter as constants)."""
+    leaves = [param(v.copy()) if name in needs else const(v.copy())
+              for name, v in zip(("query_key", "context_key", "vec"), values)]
+    tape = Tape()
+    out = op(tape, *leaves, 0.2)
+    if needs:
+        flat = tape.reshape(out, (out.values.size,))
+        tape.backward(tape.dot_rows(flat, const(weights.ravel())))
+    return out.values, [leaf.grad for leaf in leaves]
+
+
+def test_key_scores_equal_the_unfused_chain_bitwise(monkeypatch):
+    import unilp.autodiff as autodiff
+
+    rng = derive_rng(0, "test-key-scores")
+    names = ("query_key", "context_key", "vec")
+    subsets = [set(c) for r in range(4) for c in itertools.combinations(names, r)]
+    # (B, C, m, H, k, queries per tile); None keeps the default tile budget
+    cases = [
+        (5, 5, 7, 2, 3, 2),  # C = B, 5 queries in tiles of 2
+        (5, 1, 7, 2, 3, 2),  # one shared context
+        (7, 7, 9, 4, 12, 3),  # head width 12, B not a multiple of the tile
+        (3, 3, 1500, 4, 12, None),  # m * F' above the default budget: one query per tile
+        (4, 1, 1500, 4, 12, None),
+        (6, 6, 5, 1, 4, 64),  # one tile larger than B
+    ]
+    for B, C, m, H, k, tile in cases:
+        budget = autodiff.KEY_SCORES_TILE if tile is None else tile * m * H * k
+        monkeypatch.setattr(autodiff, "KEY_SCORES_TILE", budget)
+        values = (rng.normal(size=(B, 1, H * k)), rng.normal(size=(C, m, H * k)), rng.normal(size=(H, k)))
+        weights = rng.normal(size=(B, m, H))
+        for needs in subsets:
+            got, got_grads = key_scores_and_grads(Tape.key_scores, values, needs, weights)
+            want, want_grads = key_scores_and_grads(unfused_key_scores, values, needs, weights)
+            assert got.tobytes() == want.tobytes(), (B, C, m, needs)
+            for name, g, w in zip(names, got_grads, want_grads):
+                assert (g is None) == (name not in needs)
+                assert g is None or g.tobytes() == w.tobytes(), (B, C, m, needs, name)
+        # permuting the context members permutes the scores bit for bit
+        perm = rng.permutation(m)
+        moved = Tape().key_scores(const(values[0]), const(values[1][:, perm]), const(values[2]), 0.2)
+        assert moved.values.tobytes() == got[:, perm].tobytes()
+
+
+def test_key_scores_gradients_and_rejections():
+    for i, (B, C) in enumerate(((3, 3), (3, 1))):
+        params = {"q": param(safe_values((B, 1, 6), 3 * i)), "c": param(safe_values((C, 4, 6), 3 * i + 1)),
+                  "v": param(safe_values((2, 3), 3 * i + 2))}
+        err = check_gradients(
+            lambda ps, t: flatten(t, t.key_scores(ps["q"], ps["c"], ps["v"], 0.1)), params
+        )
+        assert err < GRAD_TOL, (B, C, err)
+    good = (np.ones((2, 1, 6)), np.ones((2, 4, 6)), np.ones((2, 3)))
+    for i in range(3):
+        for bad in (math.inf, -math.inf, math.nan):
+            values = [v.copy() for v in good]
+            values[i][-1, ..., -1] = bad
+            with np.errstate(all="ignore"), pytest.raises(NumericError, match="key_scores"):
+                Tape().key_scores(*map(param, values), 0.01)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):  # the sum overflows
+        Tape().key_scores(param(np.full((1, 1, 2), 1e308)), param(np.full((1, 3, 2), 1e308)),
+                          param(np.ones((1, 2))), 0.01)
+    for shapes in (
+        ((2, 6), (2, 4, 6), (2, 3)),  # query_key not (B, 1, F')
+        ((2, 2, 6), (2, 4, 6), (2, 3)),
+        ((2, 1, 6), (3, 4, 6), (2, 3)),  # C neither B nor 1
+        ((2, 1, 6), (4, 6), (2, 3)),
+        ((2, 1, 6), (2, 0, 6), (2, 3)),  # no members
+        ((2, 1, 6), (2, 4, 5), (2, 3)),  # F' differs
+        ((2, 1, 6), (2, 4, 6), (6,)),  # vec not (H, k)
+        ((2, 1, 6), (2, 4, 6), (2, 2)),  # H * k != F'
+        ((2, 1, 0), (2, 4, 0), (0, 3)),
+    ):
+        with pytest.raises(ConfigError):
+            Tape().key_scores(*(param(np.ones(s)) for s in shapes), 0.01)
+    for slope in (-0.01, 1.5, math.nan):
+        with pytest.raises(ConfigError):
+            Tape().key_scores(*map(param, good), slope)
 
 
 def test_transpose_and_stacked_slice_gradients():

@@ -254,6 +254,23 @@ def test_score_pairs_is_chunk_independent_and_records_no_graph(tri_dataset, monk
         assert t.grad is None, name
 
 
+def test_score_pairs_over_several_key_tiles_matches_pairs_alone(tri_dataset):
+    import unilp.autodiff as autodiff
+    from unilp.evaluation import SCORE_CHUNK
+
+    cfg = ModelConfig(hidden_dim=48, attention_dim=48, embed_dim=48, encoder_layers=2,
+                      mlp_layers=2, mlp_hidden=48, heads=4)
+    params = init_params(cfg, seed=4)
+    ctx = sample_context(tri_dataset, k=40, seed=5)
+    per_tile = autodiff.KEY_SCORES_TILE // (ctx.size * cfg.attention_dim)
+    # a full chunk spans several tiles, the last one partly filled
+    assert 1 <= per_tile < SCORE_CHUNK and SCORE_CHUNK % per_tile
+    pairs = list(itertools.combinations(range(36), 2))[:SCORE_CHUNK + 5]
+    scores = score_pairs(params, cfg, tri_dataset, pairs, ctx)
+    alone = [score_pairs(params, cfg, tri_dataset, [pair], ctx)[0] for pair in pairs]
+    assert scores.tobytes() == np.array(alone).tobytes()
+
+
 def test_score_pairs_canonicalizes_and_validates(tri_dataset):
     params = init_params(SMALL_PLAIN, seed=0)
     fwd = score_pairs(params, SMALL_PLAIN, tri_dataset, [(0, 1), (2, 5)])

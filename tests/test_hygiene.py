@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every name a module imports is used."""
+"""Source checks that need no linter: every name a module imports is used,
+and every public tape op outside the tests' references has a caller."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import unilp
+from unilp.autodiff import Tape
 
 SOURCES = sorted(Path(unilp.__file__).parent.glob("*.py"))
 
@@ -51,3 +53,28 @@ def test_unused_import_check_sees_what_it_should():
         "    return os.path.join(str(pi), str(np.pi))\n"
     )
     assert unused_imports(source) == [(2, "json")]
+
+
+def tape_ops_called(source: str) -> set:
+    """Names of methods called on a name `tape` (how the package calls its
+    tape ops) or on a fresh `Tape()`."""
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if (isinstance(receiver, ast.Name) and receiver.id == "tape") or (
+                    isinstance(receiver, ast.Call) and isinstance(receiver.func, ast.Name)
+                    and receiver.func.id == "Tape"):
+                called.add(node.func.attr)
+    return called
+
+
+def test_only_the_test_reference_tape_ops_go_uncalled():
+    """scale, concat and dot_rows define the model bit for bit in the tests'
+    references; any other public op no package module calls is dead code."""
+    public = {name for name, value in vars(Tape).items()
+              if callable(value) and not name.startswith("_")}
+    called = set().union(*(tape_ops_called(path.read_text(encoding="utf-8")) for path in SOURCES))
+    assert public - called == {"scale", "concat", "dot_rows"}
+    # receivers other than a tape do not count
+    assert tape_ops_called("tape.add(a, b)\nTape().bce(p, 1)\nedges.add(x)\nnp.add(a, b)\n") == {"add", "bce"}

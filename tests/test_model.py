@@ -428,12 +428,18 @@ def reference_predict(params, cfg, h_tilde, tape):
     return tape.clamp(tape.sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def test_attention_path_matches_per_head_loops_bitwise():
+def test_attention_path_matches_per_head_loops_bitwise(monkeypatch):
+    import unilp.autodiff as autodiff
+
     rng = derive_rng(0, "test-model-heads")
-    for heads in (1, 2, 4):
+    default_tile = autodiff.KEY_SCORES_TILE
+    # the default tile holds all three queries; a tile of two splits them 2 + 1
+    for heads, tile in ((1, None), (2, None), (4, None), (1, 2), (4, 2)):
         cfg = ModelConfig.from_dict({**SMALL.to_dict(), "heads": heads})
         params = init_params(cfg, heads)
         for m, n_pos in ((1, 1), (1, 0), (6, 0), (6, 6), (7, 3), (40, 20)):
+            budget = default_tile if tile is None else tile * m * cfg.attention_dim
+            monkeypatch.setattr(autodiff, "KEY_SCORES_TILE", budget)
             h_q = rng.normal(size=(3, 16))
             h_ctx = rng.normal(size=(3, m, 16))
             tape = Tape()

@@ -192,6 +192,14 @@ def test_linkdataset_memoizes_subgraphs(tri_dataset):
     assert tri_dataset.subgraph(pair, replace(SMALL_ICL, max_per_hop=2)) is not first
 
 
+def test_linkdataset_subgraph_cache_keys_the_canonical_pair():
+    ds = LinkDataset.from_graph("tri", lattice("triangular", 6, 6), seed=0)
+    first = ds.subgraph((3, 5), SMALL_ICL)
+    assert ds.subgraph((5, 3), SMALL_ICL) is first
+    assert ds.subgraph(np.array([5, 3]), SMALL_ICL) is first
+    assert len(ds._subgraphs) == 1
+
+
 def test_whole_graph_dataset():
     g = lattice("grid", 4, 4)
     ds = LinkDataset.whole_graph("grid", g)
