@@ -3,9 +3,12 @@
 A `Tape` records every operation; `Tape.backward(loss)` replays the records
 in reverse creation order (a valid reverse-topological order) exactly once
 and accumulates gradients into each tensor's `.grad` slot. Only the ops the
-model needs exist, each with a hand-written pullback; every op that computes
-values checks its output for finiteness, so numeric blowups surface at
-their source (`reshape` and `transpose` only re-view their input's values).
+model needs exist. Each gives `_emit` one gradient function per operand,
+mapping the output's gradient to that operand's contribution; `_emit` drops
+the operands that need no gradient, and `backward` applies the kept
+functions in operand order and does all the accumulating. Every op that
+computes values checks its output for finiteness, so numeric blowups surface
+at their source (`reshape` and `transpose` only re-view their input's values).
 
 Constant matrices that never need gradients (neighbor-averaging and pooling
 operators) enter through `spmm` as scipy CSR matrices; everything
@@ -28,14 +31,14 @@ reference definitions of the model (the per-query loss, the per-head
 attention and contextualization loops) are written with them, and a
 hygiene test checks that no other public op goes uncalled.
 
-Gradients are stored without copies: a pullback's array (or a view of it)
-may become the `.grad` of several tensors at once, so no stored gradient is
-ever modified in place. A second contribution makes a new array, and every
-stored gradient is marked read-only.
+Gradients are stored without copies: a gradient function's array (or a
+view of it) may become the `.grad` of several tensors at once, so no stored
+gradient is ever modified in place. A second contribution makes a new array,
+and every stored gradient is marked read-only.
 
-An op records a pullback only when some operand needs a gradient. Scoring
-wraps the parameters with `const`, so its forward passes record no graph,
-and each intermediate is freed as soon as the next op is done with it.
+An op is recorded only when some operand needs a gradient. Scoring wraps the
+parameters with `const`, so its forward passes record no graph, and each
+intermediate is freed as soon as the next op is done with it.
 """
 
 from __future__ import annotations
@@ -58,19 +61,23 @@ PROB_EPS = 1e-12
 #: (3 queries at m = 400, F' = 48; never fewer than one query).
 KEY_SCORES_TILE = 1 << 16
 
+#: Adam's moment decay rates and the term that keeps its denominator nonzero.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Tensor:
     """Value node. Leaf parameters carry requires_grad=True; everything else
     is either a constant or an op output owned by some Tape."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_needs", "_pullback")
+    __slots__ = ("values", "grad", "requires_grad", "_needs", "_grads")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._needs = self.requires_grad
-        self._pullback = None
+        # (operand, gradient function) for each operand that needs a gradient
+        self._grads = ()
 
     @property
     def shape(self):
@@ -126,14 +133,18 @@ class Tape:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _emit(self, values, parents, pullback, op: str, check: bool = True) -> Tensor:
+    def _emit(self, values, grads, op: str, check: bool = True) -> Tensor:
+        """Wrap an op's output. `grads` holds one (operand, fn) pair per
+        operand, where fn(g) is that operand's gradient contribution given
+        the output's gradient g; only the pairs whose operand needs a
+        gradient are kept, and the output is recorded only if one is."""
         values = np.asarray(values, dtype=np.float64)
         if check and not np.isfinite(values).all():
             raise NumericError(f"non-finite values produced by {op}")
         out = Tensor(values)
-        out._needs = any(p._needs for p in parents)
-        if out._needs:
-            out._pullback = pullback
+        out._grads = tuple((x, fn) for x, fn in grads if x._needs)
+        if out._grads:
+            out._needs = True
             self._nodes.append(out)
         return out
 
@@ -145,9 +156,12 @@ class Tape:
             return
         loss.grad = np.ones_like(loss.values)
         for node in reversed(self._nodes):
-            if node.grad is None or node._pullback is None:
+            if node.grad is None:
                 continue
-            node._pullback(node.grad)
+            # in operand order: an operand used twice (add(x, x)) gets its
+            # first contribution, then its second
+            for x, fn in node._grads:
+                _accumulate(x, fn(node.grad))
         # intermediates die with the tape; drop their grads eagerly
         for node in self._nodes:
             node.grad = None
@@ -174,62 +188,32 @@ class Tape:
                 raise ConfigError(f"stacked matmul needs matrix operands, got {av.shape} @ {bv.shape}")
             _broadcast_shape("matmul", av.shape[:-2], bv.shape[:-2])
 
-        def pull(g):
-            if stacked and bv.ndim == 2:
-                # a matrix shared by the whole stack: one gemm per gradient
-                if a._needs:
-                    _accumulate(a, (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape))
-                if b._needs:
-                    _accumulate(b, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            elif stacked:
-                if a._needs:
-                    _accumulate(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-                if b._needs:
-                    _accumulate(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
-            elif av.ndim == 2 and bv.ndim == 2:
-                if a._needs:
-                    _accumulate(a, g @ bv.T)
-                if b._needs:
-                    _accumulate(b, av.T @ g)
-            elif av.ndim == 1 and bv.ndim == 2:
-                if a._needs:
-                    _accumulate(a, bv @ g)
-                if b._needs:
-                    _accumulate(b, np.outer(av, g))
-            elif av.ndim == 2 and bv.ndim == 1:
-                if a._needs:
-                    _accumulate(a, np.outer(g, bv))
-                if b._needs:
-                    _accumulate(b, av.T @ g)
-            else:
-                if a._needs:
-                    _accumulate(a, g * bv)
-                if b._needs:
-                    _accumulate(b, g * av)
-
-        return self._emit(av @ bv, (a, b), pull, "matmul")
+        if av.ndim >= 2 and bv.ndim == 2:
+            # a matrix shared by the whole stack (or a plain 2-D product,
+            # where the reshapes are no-ops): one gemm per gradient
+            grads = ((a, lambda g: (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)),
+                     (b, lambda g: av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])))
+        elif stacked:
+            grads = ((a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+                     (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
+        elif av.ndim == 1 and bv.ndim == 2:
+            grads = ((a, lambda g: bv @ g), (b, lambda g: np.outer(av, g)))
+        elif av.ndim == 2 and bv.ndim == 1:
+            grads = ((a, lambda g: np.outer(g, bv)), (b, lambda g: av.T @ g))
+        else:
+            grads = ((a, lambda g: g * bv), (b, lambda g: g * av))
+        return self._emit(av @ bv, grads, "matmul")
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise sum; the operands broadcast the way numpy's do."""
         av, bv = a.values, b.values
         _broadcast_shape("add", av.shape, bv.shape)
-
-        def pull(g):
-            if a._needs:
-                _accumulate(a, _unbroadcast(g, av.shape))
-            if b._needs:
-                _accumulate(b, _unbroadcast(g, bv.shape))
-
-        return self._emit(av + bv, (a, b), pull, "add")
+        return self._emit(av + bv, ((a, lambda g: _unbroadcast(g, av.shape)),
+                                    (b, lambda g: _unbroadcast(g, bv.shape))), "add")
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         c = float(c)
-
-        def pull(g):
-            if a._needs:
-                _accumulate(a, g * c)
-
-        return self._emit(a.values * c, (a,), pull, "scale")
+        return self._emit(a.values * c, ((a, lambda g: g * c),), "scale")
 
     def concat(self, a: Tensor, b: Tensor) -> Tensor:
         """Concatenate along the last axis; leading axes broadcast, so a
@@ -239,18 +223,12 @@ class Tape:
             raise ConfigError(f"concat needs at least 1-D operands: {av.shape} ++ {bv.shape}")
         lead = _broadcast_shape("concat", av.shape[:-1], bv.shape[:-1])
         split = av.shape[-1]
-
-        def pull(g):
-            if a._needs:
-                _accumulate(a, _unbroadcast(g[..., :split], av.shape))
-            if b._needs:
-                _accumulate(b, _unbroadcast(g[..., split:], bv.shape))
-
         out = np.concatenate(
             [np.broadcast_to(av, lead + av.shape[-1:]), np.broadcast_to(bv, lead + bv.shape[-1:])],
             axis=-1,
         )
-        return self._emit(out, (a, b), pull, "concat")
+        return self._emit(out, ((a, lambda g: _unbroadcast(g[..., :split], av.shape)),
+                                (b, lambda g: _unbroadcast(g[..., split:], bv.shape))), "concat")
 
     def leaky_relu(self, x: Tensor, slope: float = 0.01) -> Tensor:
         """x * (1 if x > 0 else slope), for 0 <= slope <= 1.
@@ -266,16 +244,11 @@ class Tape:
         xv = x.values
         out = np.multiply(xv, slope)
         np.maximum(xv, out, out=out)
-        # made here and kept for the pullback: building it inside the
-        # pullback frees memory earlier, and warm pretraining epochs then
-        # slowed down through twice the page faults
+        # made here and kept for the gradient function: building it inside
+        # that function frees memory earlier, and warm pretraining epochs
+        # then slowed down through twice the page faults
         factor = np.maximum(xv > 0, slope) if x._needs else None
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, g * factor)
-
-        return self._emit(out, (x,), pull, "leaky_relu")
+        return self._emit(out, ((x, lambda g: g * factor),), "leaky_relu")
 
     def sigmoid(self, x: Tensor) -> Tensor:
         xv = x.values
@@ -284,12 +257,7 @@ class Tape:
         out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
         ex = np.exp(xv[~pos])
         out[~pos] = ex / (1.0 + ex)
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, g * out * (1.0 - out))
-
-        return self._emit(out, (x,), pull, "sigmoid")
+        return self._emit(out, ((x, lambda g: g * out * (1.0 - out)),), "sigmoid")
 
     def softmax(self, x: Tensor) -> Tensor:
         """Softmax over the last axis (every row of a stacked input)."""
@@ -302,12 +270,7 @@ class Tape:
         # canonical (sorted) summation: permuting the inputs permutes the
         # outputs bit-exactly, which downstream invariance checks rely on
         out = e / np.sort(e, axis=-1).sum(axis=-1, keepdims=True)
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, out * (g - (g * out).sum(axis=-1, keepdims=True)))
-
-        return self._emit(out, (x,), pull, "softmax")
+        return self._emit(out, ((x, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))),), "softmax")
 
     def dot_rows(self, x: Tensor, v: Tensor) -> Tensor:
         """Dot product over the last axis, v broadcast against x's trailing
@@ -321,14 +284,9 @@ class Tape:
         xv, vv = x.values, v.values
         if vv.ndim == 0 or xv.ndim < vv.ndim or xv.shape[xv.ndim - vv.ndim:] != vv.shape:
             raise ConfigError(f"dot_rows shapes incompatible: {xv.shape} . {vv.shape}")
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, g[..., None] * vv)
-            if v._needs:
-                _accumulate(v, _unbroadcast(g[..., None] * xv, vv.shape))
-
-        return self._emit(np.einsum("...k,...k->...", xv, vv), (x, v), pull, "dot_rows")
+        return self._emit(np.einsum("...k,...k->...", xv, vv),
+                          ((x, lambda g: g[..., None] * vv),
+                           (v, lambda g: _unbroadcast(g[..., None] * xv, vv.shape))), "dot_rows")
 
     def key_scores(self, query_key: Tensor, context_key: Tensor, vec: Tensor, slope: float) -> Tensor:
         """Per-head attention scores dot_rows(leaky_relu(query_key +
@@ -342,8 +300,9 @@ class Tape:
         elementwise or reduces within one row (the einsum of dot_rows), so
         the values are those of the unfused chain, bit for bit, for any tile
         size. When an operand needs a gradient the activations and the
-        factor max(z > 0, slope) are kept at full size, and the pullback runs
-        the unfused chain's expressions, so gradients are bit-identical too.
+        factor max(z > 0, slope) are kept at full size, and the gradient
+        functions run the unfused chain's expressions, so gradients are
+        bit-identical too.
 
         Only the output is checked for finiteness. Every key entry lies in
         exactly one (member, head) row, and a non-finite entry (from a
@@ -369,7 +328,8 @@ class Tape:
         rows = max(1, KEY_SCORES_TILE // (m * width))
         needs = query_key._needs or context_key._needs or vec._needs
         z = np.empty((min(rows, batch), m, width))
-        # the pullback reads the activations and the factor of every query
+        # the gradient functions read the activations and the factor of
+        # every query
         acts = np.empty((batch, m, width) if needs else z.shape)
         factor = np.empty_like(acts) if needs else None
         out = np.empty((batch, m, heads))
@@ -383,17 +343,16 @@ class Tape:
                 np.maximum(zt > 0, slope, out=factor[lo:hi])
             out[lo:hi] = np.einsum("...k,...k->...", act.reshape(hi - lo, m, heads, k), vv)
 
-        def pull(g):
-            if vec._needs:
-                _accumulate(vec, _unbroadcast(g[..., None] * acts.reshape(batch, m, heads, k), vv.shape))
-            if query_key._needs or context_key._needs:
-                gz = (g[..., None] * vv).reshape(batch, m, width) * factor
-                if query_key._needs:
-                    _accumulate(query_key, _unbroadcast(gz, qv.shape))
-                if context_key._needs:
-                    _accumulate(context_key, _unbroadcast(gz, cv.shape))
+        def gz(g):
+            # the gradient at z, shared by both keys; recomputed per key, as
+            # caching it would keep one more key block alive with the graph
+            return (g[..., None] * vv).reshape(batch, m, width) * factor
 
-        return self._emit(out, (query_key, context_key, vec), pull, "key_scores")
+        return self._emit(out, (
+            (vec, lambda g: _unbroadcast(g[..., None] * acts.reshape(batch, m, heads, k), vv.shape)),
+            (query_key, lambda g: _unbroadcast(gz(g), qv.shape)),
+            (context_key, lambda g: _unbroadcast(gz(g), cv.shape)),
+        ), "key_scores")
 
     def transpose(self, x: Tensor, axes) -> Tensor:
         """Permute axes (a view; the gradient permutes back). Like reshape,
@@ -402,12 +361,8 @@ class Tape:
         if sorted(axes) != list(range(x.values.ndim)):
             raise ConfigError(f"transpose axes {axes} invalid for shape {x.shape}")
         inverse = tuple(int(i) for i in np.argsort(axes))
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, g.transpose(inverse))
-
-        return self._emit(x.values.transpose(axes), (x,), pull, "transpose", check=False)
+        return self._emit(x.values.transpose(axes), ((x, lambda g: g.transpose(inverse)),), "transpose",
+                          check=False)
 
     def take_rows(self, x: Tensor, indices) -> Tensor:
         """Gather rows of a matrix; the gradient scatter-adds back."""
@@ -417,15 +372,14 @@ class Tape:
         if idx.size and (idx.min() < 0 or idx.max() >= x.values.shape[0]):
             raise ConfigError("take_rows index out of range")
 
-        def pull(g):
-            if x._needs:
-                # scatter-add as a sparse product: repeated rows sum in order
-                scatter = sp.csr_matrix(
-                    (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(x.values.shape[0], idx.size)
-                )
-                _accumulate(x, scatter @ g)
+        def scatter_add(g):
+            # scatter-add as a sparse product: repeated rows sum in order
+            scatter = sp.csr_matrix(
+                (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(x.values.shape[0], idx.size)
+            )
+            return scatter @ g
 
-        return self._emit(x.values[idx], (x,), pull, "take_rows")
+        return self._emit(x.values[idx], ((x, scatter_add),), "take_rows")
 
     def slice_last(self, x: Tensor, start: int, stop: int) -> Tensor:
         if x.values.ndim == 0:
@@ -434,22 +388,17 @@ class Tape:
         if not 0 <= start < stop <= width:
             raise ConfigError(f"slice [{start}:{stop}] invalid for width {width}")
 
-        def pull(g):
-            if x._needs:
-                buf = np.zeros_like(x.values)
-                buf[..., start:stop] = g
-                _accumulate(x, buf)
+        def widen(g):
+            buf = np.zeros_like(x.values)
+            buf[..., start:stop] = g
+            return buf
 
-        return self._emit(x.values[..., start:stop], (x,), pull, "slice_last")
+        return self._emit(x.values[..., start:stop], ((x, widen),), "slice_last")
 
     def reshape(self, x: Tensor, shape) -> Tensor:
         shape = tuple(shape)
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, g.reshape(x.values.shape))
-
-        return self._emit(x.values.reshape(shape), (x,), pull, "reshape", check=False)
+        return self._emit(x.values.reshape(shape), ((x, lambda g: g.reshape(x.values.shape)),), "reshape",
+                          check=False)
 
     def spmm(self, s, x: Tensor) -> Tensor:
         """Multiply by a constant scipy CSR matrix (no gradient through s)."""
@@ -457,24 +406,14 @@ class Tape:
             raise ConfigError("spmm expects a scipy sparse matrix on the left")
         if x.values.ndim != 2 or s.shape[1] != x.values.shape[0]:
             raise ConfigError(f"spmm shapes incompatible: {s.shape} @ {x.shape}")
-
-        def pull(g):
-            if x._needs:
-                # s.T is a CSC view of s: the product sums in the order of
-                # s.T.tocsr() @ g without building that copy
-                _accumulate(x, np.asarray(s.T @ g))
-
-        return self._emit(np.asarray(s @ x.values), (x,), pull, "spmm")
+        # s.T is a CSC view of s: the product sums in the order of
+        # s.T.tocsr() @ g without building that copy
+        return self._emit(np.asarray(s @ x.values), ((x, lambda g: np.asarray(s.T @ g)),), "spmm")
 
     def clamp(self, x: Tensor, lo: float, hi: float) -> Tensor:
         xv = x.values
         inside = ((xv > lo) & (xv < hi)).astype(np.float64)
-
-        def pull(g):
-            if x._needs:
-                _accumulate(x, g * inside)
-
-        return self._emit(np.clip(xv, lo, hi), (x,), pull, "clamp")
+        return self._emit(np.clip(xv, lo, hi), ((x, lambda g: g * inside),), "clamp")
 
     def bce(self, prediction: Tensor, labels) -> Tensor:
         """Mean binary cross-entropy of probabilities against 0/1 labels.
@@ -496,14 +435,13 @@ class Tape:
         active = (PROB_EPS < p_raw) & (p_raw < 1.0 - PROB_EPS)
         scale = 1.0 / n
 
-        def pull(g):
-            if prediction._needs:
-                dp = np.where(active, float(g.reshape(())) * scale * (p - y) / (p * (1.0 - p)), 0.0)
-                _accumulate(prediction, dp.reshape(prediction.values.shape))
+        def d_prob(g):
+            dp = np.where(active, float(g.reshape(())) * scale * (p - y) / (p * (1.0 - p)), 0.0)
+            return dp.reshape(prediction.values.shape)
 
         losses = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
         # cumsum adds strictly left to right
-        return self._emit(np.array(np.cumsum(losses)[-1] * scale), (prediction,), pull, "bce")
+        return self._emit(np.array(np.cumsum(losses)[-1] * scale), ((prediction, d_prob),), "bce")
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +454,6 @@ class Optimizer:
 
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -560,11 +495,11 @@ def step(opt: Optimizer, params: dict):
                 new_values = p.values - opt.lr * g
                 moments = None
             else:
-                m = opt.m.get(name, np.zeros_like(p.values)) * opt.beta1 + (1.0 - opt.beta1) * g
-                v = opt.v.get(name, np.zeros_like(p.values)) * opt.beta2 + (1.0 - opt.beta2) * g * g
-                m_hat = m / (1.0 - opt.beta1**opt.t)
-                v_hat = v / (1.0 - opt.beta2**opt.t)
-                new_values = p.values - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+                m = opt.m.get(name, np.zeros_like(p.values)) * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+                v = opt.v.get(name, np.zeros_like(p.values)) * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m / (1.0 - ADAM_BETA1**opt.t)
+                v_hat = v / (1.0 - ADAM_BETA2**opt.t)
+                new_values = p.values - opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 moments = (m, v)
             if not np.isfinite(new_values).all():
                 opt.t -= 1

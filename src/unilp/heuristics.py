@@ -64,19 +64,6 @@ def _gather_rows(g: Graph, nodes: np.ndarray) -> tuple:
     return owner, g.indices[g.indptr[nodes][owner] + offsets]
 
 
-def _sum_in_order(owner: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
-    """Per-owner sums of terms grouped by ascending owner, each added left to
-    right as a Python loop over the terms would (np.add.reduceat sums
-    pairwise and can differ in the last bits)."""
-    per_owner = np.bincount(owner, minlength=count)
-    first = np.cumsum(per_owner) - per_owner
-    total = np.zeros(count)
-    for j in range(int(per_owner.max()) if count else 0):
-        rows = np.flatnonzero(per_owner > j)
-        total[rows] += terms[first[rows] + j]
-    return total
-
-
 def _hops(g: Graph, source: int, targets: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """Hop counts from source to each target (inf when unreachable), by a
     level-by-level BFS that stops once every target is reached. `seen` is an
@@ -182,7 +169,10 @@ def score_batch(h: Heuristic, g: Graph, pairs) -> np.ndarray:
         terms = np.array([1.0 / math.log(d) for d in degrees.tolist()])[where]
     else:
         terms = 1.0 / deg[w]
-    return _sum_in_order(owner, terms, len(u))
+    # bincount adds each pair's terms left to right, as a Python loop would
+    # (np.add.reduceat sums pairwise and can differ in the last bits); with
+    # no common neighbour in the batch it returns integers
+    return np.bincount(owner, weights=terms, minlength=len(u)).astype(np.float64)
 
 
 def score(h: Heuristic, g: Graph, pair) -> float:

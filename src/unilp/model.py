@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from .autodiff import PROB_EPS, Tape, Tensor, check_gradients, param, xavier_uniform
 from .errors import ConfigError, check_number_fields
 from .graphs import Graph, generate_sbm, SbmSpec, sample_nonedges
-from .labeling import LabelVocab, LabeledSubgraph, labeled_subgraph
+from .labeling import LabelVocab, labeled_subgraph
 from .rng import derive_rng
 
 MODE_ICL = "icl"
@@ -362,17 +362,15 @@ def forward(
     query,
     context: ContextSet = None,
     tape: Tape = None,
-    query_sub: LabeledSubgraph = None,
 ) -> Tensor:
     """Probability that `query` is a link of g, shape (1,).
 
     The query subgraph is extracted from g with the target edge removed (a
-    no-op for unobserved pairs); pass query_sub to reuse a cached extraction.
-    In no_context mode any provided context is ignored.
+    no-op for unobserved pairs). In no_context mode any provided context is
+    ignored.
     """
     tape = tape if tape is not None else Tape()
-    if query_sub is None:
-        query_sub = labeled_subgraph(g, query, config.radius, max_per_hop=config.max_per_hop)
+    query_sub = labeled_subgraph(g, query, config.radius, max_per_hop=config.max_per_hop)
     return _item_probabilities(params, config, [(query_sub, context)], tape)
 
 

@@ -31,7 +31,6 @@ from .errors import ConfigError, DataError, NumericError, check_number_fields
 from .graphs import (
     DataSplit,
     Graph,
-    canonical_pair,
     derive_seed_int,
     pair_index,
     sample_nonedges,
@@ -87,7 +86,8 @@ class LinkDataset:
         """Labeled ego subgraph on the observed graph, extracted with the
         config's radius and hop cap; memoized under the canonical pair, so
         (u, v) and (v, u) give the same object."""
-        key = (canonical_pair(*pair), config.radius, config.max_per_hop)
+        u, v = pair
+        key = ((u, v) if u < v else (v, u), config.radius, config.max_per_hop)
         sub = self._subgraphs.get(key)
         if sub is None:
             sub = labeled_subgraph(self.observed, pair, config.radius,
@@ -234,12 +234,13 @@ def training_item(ds: LinkDataset, pair, label: float, model_config: ModelConfig
 def _updater(params: dict, model_config: ModelConfig, train_config: TrainConfig):
     """The one training update of pretrain and finetune: `update(items)`
     runs batch_loss, back-propagates, steps `params` in place and returns
-    the mean loss. It holds the last loss tensor, whose pullbacks reach every
-    forward array of its batch, until the next forward pass has returned, so
-    across validation and epoch ends too. Any other lifetime costs warm epochs
-    page faults: freed earlier, the heap shrinks between batches; held through
-    the next step, two graphs live at once (the heap trap in CHANGES.md). A
-    test in tests/test_training.py pins this lifetime."""
+    the mean loss. It holds the last loss tensor, whose gradient functions
+    reach every forward array of its batch, until the next forward pass has
+    returned, so across validation and epoch ends too. Any other lifetime
+    costs warm epochs page faults: freed earlier, the heap shrinks between
+    batches; held through the next step, two graphs live at once (the heap
+    trap in CHANGES.md). A test in tests/test_training.py pins this
+    lifetime."""
     opt = Optimizer(kind=train_config.optimizer, lr=train_config.lr)
     held = None
 

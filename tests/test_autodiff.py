@@ -117,8 +117,8 @@ def test_leaky_relu_matches_factor_form_bitwise():
         xt = param(x.copy())
         y = tape.leaky_relu(xt, slope)
         assert y.values.tobytes() == (x * factor).tobytes(), slope  # signs of zeros too
-        y._pullback(g)
-        assert xt.grad.tobytes() == (g * factor).tobytes(), slope
+        (operand, fn), = y._grads
+        assert operand is xt and fn(g).tobytes() == (g * factor).tobytes(), slope
     for slope in (-0.01, 1.5, math.nan):
         with pytest.raises(ConfigError):
             Tape().leaky_relu(param(x), slope)
@@ -488,6 +488,48 @@ def test_bce_mean_over_batch_sums_left_to_right():
     assert check_gradients(chained, {"z": param(safe_values(5, 11))}) < GRAD_TOL
     with pytest.raises(ConfigError):
         Tape().bce(param(probs), [1.0, 0.0])
+
+
+# (the op, its operand shapes, the order in which it lists its operands'
+# gradient functions: the order their contributions are accumulated in)
+DROP_CASES = {
+    "matmul-2d": (Tape.matmul, ((3, 4), (4, 2)), (0, 1)),
+    "matmul-shared-matrix": (Tape.matmul, ((2, 3, 4), (4, 5)), (0, 1)),
+    "matmul-broadcast-stacks": (Tape.matmul, ((2, 3, 1, 4), (3, 4, 2)), (0, 1)),
+    "add": (Tape.add, ((2, 1, 4), (3, 4)), (0, 1)),
+    "concat": (Tape.concat, ((2, 1, 3), (4, 2)), (0, 1)),
+    "dot_rows": (Tape.dot_rows, ((2, 3, 2, 4), (2, 4)), (0, 1)),
+    # vec, then query_key, then context_key
+    "key_scores": (lambda tape, *xs: tape.key_scores(*xs, 0.2), ((3, 1, 6), (3, 4, 6), (2, 3)), (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("op, shapes, order", DROP_CASES.values(), ids=DROP_CASES)
+def test_operands_that_need_no_gradient_are_dropped(op, shapes, order):
+    """For every subset of operands made param (the rest const), the op
+    keeps the gradient functions of exactly those operands, in its operand
+    order, and they get the all-param gradients bit for bit."""
+    rng = derive_rng(0, "test-dropped-operands")
+    values = [rng.normal(size=shape) for shape in shapes]
+    want = None
+    for r in range(len(values), -1, -1):  # all-param first: the reference
+        for needs in itertools.combinations(range(len(values)), r):
+            leaves = [param(v) if i in needs else const(v) for i, v in enumerate(values)]
+            tape = Tape()
+            out = op(tape, *leaves)
+            assert [x for x, _ in out._grads] == [leaves[i] for i in order if i in needs], needs
+            if not needs:
+                assert not out._needs and tape._nodes == []
+                continue
+            weights = derive_rng(1, "test-dropped-operands").normal(size=out.values.size)
+            tape.backward(tape.dot_rows(tape.reshape(out, (out.values.size,)), const(weights)))
+            if want is None:
+                want = [leaf.grad for leaf in leaves]
+            for i, leaf in enumerate(leaves):
+                if i in needs:
+                    assert leaf.grad.tobytes() == want[i].tobytes(), (needs, i)
+                else:
+                    assert leaf.grad is None, (needs, i)
 
 
 # ---------------------------------------------------------------------------

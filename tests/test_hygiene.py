@@ -1,5 +1,6 @@
 """Source checks that need no linter: every name a module imports is used,
-and every public tape op outside the tests' references has a caller."""
+every public tape op outside the tests' references has a caller, and only
+the tape's backward pass accumulates gradients."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,53 @@ def test_only_the_test_reference_tape_ops_go_uncalled():
     assert public - called == {"scale", "concat", "dot_rows"}
     # receivers other than a tape do not count
     assert tape_ops_called("tape.add(a, b)\nTape().bce(p, 1)\nedges.add(x)\nnp.add(a, b)\n") == {"add", "bce"}
+
+
+def gradient_bookkeeping(source: str) -> tuple:
+    """(where `_accumulate` is called, which Tape methods define a nested
+    `pull`), naming a method `Class.method`, a function by its name and any
+    other top-level statement `<module>`."""
+    callers, pulls = set(), set()
+    for top in ast.parse(source).body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for member in members:
+            name = getattr(member, "name", "<module>")
+            where = f"{top.name}.{name}" if isinstance(top, ast.ClassDef) else name
+            for node in ast.walk(member):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_accumulate"):
+                    callers.add(where)
+                elif (isinstance(node, ast.FunctionDef) and node is not member and node.name == "pull"
+                        and isinstance(top, ast.ClassDef) and top.name == "Tape"):
+                    pulls.add(where)
+    return callers, pulls
+
+
+def test_only_the_backward_pass_accumulates_gradients():
+    """Ops give one gradient function per operand; the tape drops the ones
+    that need no gradient and accumulates the rest, so no op guards or
+    accumulates on its own."""
+    source = (Path(unilp.__file__).parent / "autodiff.py").read_text(encoding="utf-8")
+    assert gradient_bookkeeping(source) == ({"Tape.backward"}, set())
+    snippet = (
+        "def _accumulate(t, g):\n"
+        "    pass\n"
+        "_accumulate(None, None)\n"
+        "class Tape:\n"
+        "    def backward(self, loss):\n"
+        "        _accumulate(loss, 1.0)\n"
+        "    def scale(self, a, c):\n"
+        "        def pull(g):\n"
+        "            if a._needs:\n"
+        "                _accumulate(a, g * c)\n"
+        "        return pull\n"
+        "    def clamp(self, x):\n"
+        "        return [(x, lambda g: _accumulate(x, g))]\n"
+        "class Other:\n"
+        "    def run(self):\n"
+        "        def pull(g):\n"
+        "            return g\n"
+        "        return pull\n"
+    )
+    assert gradient_bookkeeping(snippet) == (
+        {"<module>", "Tape.backward", "Tape.scale", "Tape.clamp"}, {"Tape.scale"})
