@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import tempfile
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +26,6 @@ from .errors import ConfigError, DataError
 from .rng import derive_rng
 
 log = logging.getLogger(__name__)
-
-#: Distance sentinel for node pairs with no connecting path.
-UNREACHABLE = math.inf
 
 #: Maximum path length accepted by count_simple_paths; the enumeration is
 #: exponential in this bound, so it stays small by contract.
@@ -283,26 +279,7 @@ def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# paths and traversal
-
-
-def shortest_path(g: Graph, u: int, v: int):
-    """Hop count of a shortest u-v path, or UNREACHABLE."""
-    u, v = int(u), int(v)
-    if u == v:
-        return 0
-    seen = {u}
-    queue = deque([(u, 0)])
-    while queue:
-        x, d = queue.popleft()
-        for w in g.neighbors(x):
-            w = int(w)
-            if w == v:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                queue.append((w, d + 1))
-    return UNREACHABLE
+# paths
 
 
 def count_simple_paths(g: Graph, u: int, v: int, edge_len: int) -> int:

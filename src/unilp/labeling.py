@@ -21,7 +21,9 @@ which injectively encodes the orbit of (d_u, d_v) under swapping.
 
 `labeled_subgraph` is the one constructor: it extracts and labels in one
 step, so every `LabeledSubgraph` carries its labels. Its fields are plain
-tuples, which compare with `==` and sort as label tuples do.
+tuples, which compare with `==` and sort as label tuples do. Its `content`
+key stands for what the encoder reads, (labels, adj), and lets a batch
+encode subgraphs of equal content once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +89,28 @@ class LabelVocab:
         )
 
 
+class SubgraphContent:
+    """Hashable key of a subgraph's (labels, adj), the fields the encoder
+    reads. The hash is computed once (tuples do not cache theirs), and two
+    keys are equal exactly when both fields are."""
+
+    __slots__ = ("labels", "adj", "_hash")
+
+    def __init__(self, labels: tuple, adj: tuple):
+        self.labels, self.adj = labels, adj
+        self._hash = hash((labels, adj))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SubgraphContent):
+            return NotImplemented
+        return self._hash == other._hash and self.labels == other.labels and self.adj == other.adj
+
+
 @dataclass(frozen=True)
 class LabeledSubgraph:
     """Induced, labeled ego subgraph around a target pair.
@@ -111,6 +136,13 @@ class LabeledSubgraph:
 
     def local_edges(self):
         return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
+
+    @cached_property
+    def content(self) -> SubgraphContent:
+        """Content key, built on first use and kept on the object: equal
+        for subgraphs that differ only in node ids or radius, which the
+        encoder never reads."""
+        return SubgraphContent(self.labels, self.adj)
 
 
 def _bounded_bfs(neighbors, source: int, radius: int, cap, rng) -> dict:

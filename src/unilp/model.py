@@ -28,7 +28,10 @@ op is a stack whose entries make the same BLAS call and the same reduction
 a single query would, or is elementwise, so a query's probability does not
 depend on the batch it is scored in, and permuting a context permutes its
 attention weights bit for bit. `batch_loss` encodes each distinct subgraph
-object of a batch once and gathers rows for repeats.
+content of a batch once, keyed on `LabeledSubgraph.content` (labels and
+adjacency, which is all the encoder reads), and gathers rows for repeats:
+equal contents give equal rows bit for bit, so forward values are those of
+encoding every use.
 """
 
 from __future__ import annotations
@@ -331,9 +334,11 @@ def predict_batch(params: dict, config: ModelConfig, h_query: Tensor, h_context,
 def _item_probabilities(params, config, pairs, tape) -> Tensor:
     """Probabilities (B,) for (query_sub, context) pairs, in order.
 
-    Each distinct subgraph object is encoded once and its row gathered for
-    every use. In icl mode every context of the batch has the same size and
-    number of positives, and the batch runs through predict_batch once.
+    Each distinct subgraph content (`LabeledSubgraph.content`) is encoded
+    once and its row gathered for every use, so the gradients of repeats
+    add up in the gather. In icl mode every context of the batch has the
+    same size and number of positives, and the batch runs through
+    predict_batch once.
     """
     queries = [query_sub for query_sub, _ in pairs]
     contexts = [context for _, context in pairs] if config.mode == MODE_ICL else []
@@ -343,15 +348,15 @@ def _item_probabilities(params, config, pairs, tape) -> Tensor:
     if len(shapes) > 1:
         raise ConfigError(f"a batch needs one context shape (size, n_pos), got {sorted(shapes)}")
     members = [sub for context in contexts for sub in chain(context.positives, context.negatives)]
-    unique = {id(sub): sub for sub in chain(queries, members)}
+    unique = {sub.content: sub for sub in chain(queries, members)}
     rows = {key: i for i, key in enumerate(unique)}
     h_all = encode_subgraphs(params, config, list(unique.values()), tape)
     h_ctx, n_pos = None, 0
     if contexts:
         size, n_pos = shapes.pop()
-        picks = [rows[id(sub)] for sub in members]
+        picks = [rows[sub.content] for sub in members]
         h_ctx = tape.reshape(tape.take_rows(h_all, picks), (len(pairs), size, config.hidden_dim))
-    h_query = tape.take_rows(h_all, [rows[id(sub)] for sub in queries])
+    h_query = tape.take_rows(h_all, [rows[sub.content] for sub in queries])
     return predict_batch(params, config, h_query, h_ctx, n_pos, tape)
 
 
@@ -377,7 +382,7 @@ def forward(
 def batch_loss(params: dict, config: ModelConfig, items, tape: Tape) -> Tensor:
     """Mean binary cross-entropy over (query_sub, context, label) triples.
 
-    The whole batch is one pass: distinct subgraphs encoded once, then
+    The whole batch is one pass: distinct subgraph contents encoded once, then
     attention and prediction over one (B, m, F) context block, so every
     context must have the same shape; the per-item losses add up left to
     right.

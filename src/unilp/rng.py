@@ -22,5 +22,14 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     """
     material = repr((int(seed),) + tuple(labels)).encode("utf-8")
     digest = hashlib.sha256(material).digest()
-    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    return np.random.Generator(np.random.PCG64(words))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy_words(digest))))
+
+
+def _entropy_words(digest: bytes) -> np.ndarray:
+    """The uint32 words SeedSequence makes of the digest's four little-endian
+    64-bit ints, built without Python ints: each int gives its low word, then
+    its high word only if that is non-zero."""
+    words = np.frombuffer(digest, "<u4")
+    keep = words != 0
+    keep[0::2] = True
+    return words[keep]

@@ -10,7 +10,6 @@ from unilp.graphs import (
     Graph,
     LatticeSpec,
     SbmSpec,
-    UNREACHABLE,
     canonical_pair,
     count_simple_paths,
     generate_lattice,
@@ -18,10 +17,11 @@ from unilp.graphs import (
     load_edge_list,
     sample_nonedges,
     save_edge_list,
-    shortest_path,
     split_edges,
 )
 from unilp.rng import derive_rng
+
+from oracles import UNREACHABLE, shortest_path
 
 
 def lattice(kind, rows, cols, torus=False):

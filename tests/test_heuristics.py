@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError
-from unilp.graphs import Graph, LatticeSpec, SbmSpec, canonical_pair, generate_lattice, generate_sbm, shortest_path
+from unilp.graphs import Graph, LatticeSpec, SbmSpec, canonical_pair, generate_lattice, generate_sbm
 from unilp.heuristics import KINDS, Heuristic, score, score_batch
 from unilp.rng import derive_rng
+
+from oracles import shortest_path
 
 
 def path3():

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from unilp.autodiff import PROB_EPS, Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.labeling import LabelVocab, labeled_subgraph
+from unilp.labeling import LabeledSubgraph, LabelVocab, labeled_subgraph
 from unilp.model import (
     ContextSet,
     _assemble_batch,
@@ -22,6 +22,7 @@ from unilp.model import (
     model_gradient_check,
     predict,
 )
+import unilp.model as model_module
 from unilp.rng import derive_rng
 from unilp.training import LinkDataset, sample_context
 
@@ -581,6 +582,87 @@ def test_batch_loss_encodes_each_subgraph_once_and_tape_does_not_grow(params, da
         model_module.encode_subgraphs = original
     assert seen == [1 + ctx.size, 4 + ctx.size, 16 + ctx.size]
     assert nodes[0] == nodes[1] == nodes[2]
+
+
+def equal_content_copy(sub):
+    """Another subgraph object with sub's labels and adjacency, under other
+    node ids."""
+    return dataclasses.replace(sub, nodes=tuple(node + 1000 for node in sub.nodes))
+
+
+def test_equal_content_gives_equal_keys_and_bitwise_equal_encoder_rows(params, dataset):
+    subs = [dataset.subgraph(e, SMALL) for e in dataset.observed.edge_array().tolist()]
+    groups = {}
+    for sub in subs:
+        groups.setdefault((sub.labels, sub.adj), []).append(sub)
+    # distinct pairs of the torus whose labelled neighbourhoods coincide
+    twins = next(group for group in groups.values() if len(group) > 1)
+    assert twins[0].pair != twins[1].pair
+    first = subs[0]
+    copies = [equal_content_copy(first), dataclasses.replace(first, radius=2)]
+    for a, b in [twins[:2]] + [(first, copy) for copy in copies]:
+        assert a is not b and a.content is not b.content
+        assert a.content == b.content and hash(a.content) == hash(b.content)
+    assert first.content is first.content  # built once, kept on the object
+    rest = [sub for sub in subs[1:20] if (sub.labels, sub.adj) != (first.labels, first.adj)]
+    assert all(sub.content != first.content for sub in rest)
+
+    want = encode_one(params, SMALL, first).values
+    for batch in ([copies[0]], [first] + rest + copies, copies + rest + [first],
+                  rest[:7] + [copies[1]] + rest[7:] + [first]):
+        h = encode_subgraphs(params, SMALL, batch, Tape()).values
+        for i, sub in enumerate(batch):
+            if sub.content == first.content:
+                assert np.array_equal(h[i], want), i
+    for twin in twins:
+        h = encode_subgraphs(params, SMALL, rest[:5] + [twin] + rest[5:], Tape()).values
+        assert np.array_equal(h[5], encode_one(params, SMALL, twins[0]).values)
+
+
+def batch_with_equal_content_copies(dataset):
+    """Items whose queries and context members repeat contents under other
+    subgraph objects: a query copy, and a context with a member copy."""
+    ctx = sample_context(dataset, 4, seed=3)
+    copied = ContextSet(positives=(equal_content_copy(ctx.positives[0]),) + ctx.positives[1:],
+                        negatives=ctx.negatives)
+    queries = [dataset.subgraph(e, SMALL) for e in dataset.observed.edge_array().tolist()[:3]]
+    return [(queries[0], ctx, 1.0), (equal_content_copy(queries[0]), copied, 1.0),
+            (queries[1], copied, 0.0), (queries[2], ctx, 1.0)]
+
+
+def test_batch_loss_encodes_each_content_once(params, dataset, monkeypatch):
+    items = batch_with_equal_content_copies(dataset)
+    uses = [sub for query, context, _ in items
+            for sub in (query,) + context.positives + context.negatives]
+    seen = []
+    original = model_module.encode_subgraphs
+
+    def recording(ps, cfg, subs, tape):
+        seen.append(list(subs))
+        return original(ps, cfg, subs, tape)
+
+    monkeypatch.setattr(model_module, "encode_subgraphs", recording)
+    batch_loss(params, SMALL, items, Tape())
+    (encoded,) = seen
+    contents = {sub.content for sub in uses}
+    assert len({id(sub) for sub in uses}) > len(contents)  # the batch holds copies
+    assert len(encoded) == len(contents) == len({sub.content for sub in encoded})
+
+
+def test_content_keyed_batch_loss_equals_id_keyed_reference(dataset, monkeypatch):
+    items = batch_with_equal_content_copies(dataset)
+    for cfg, seed in ((SMALL, 0), (ModelConfig.from_dict({**SMALL.to_dict(), "heads": 4}), 1)):
+        params = init_params(cfg, seed)
+        got_loss, got_grads = batched_loss_and_grads(params, cfg, items)
+        with monkeypatch.context() as patch:
+            # the reference keys rows by object: one row per subgraph object
+            patch.setattr(LabeledSubgraph, "content", property(id))
+            want_loss, want_grads = batched_loss_and_grads(params, cfg, items)
+        assert got_loss == want_loss
+        assert got_grads.keys() == want_grads.keys()
+        for pname, want in want_grads.items():
+            gap = np.abs(got_grads[pname] - want).max()
+            assert gap <= 1e-12 * np.abs(want).max(), (cfg.heads, pname, gap)
 
 
 def test_batch_loss_backward_touches_all_parameters(params, dataset):

@@ -6,6 +6,7 @@ import pytest
 
 from unilp.errors import ConfigError, DataError
 import unilp.evaluation
+import unilp.labeling
 import unilp.training
 from unilp.evaluation import (
     RANDOM_CONTEXT,
@@ -565,3 +566,49 @@ def test_transfer_probe_empty_extra_changes_nothing():
     assert result.seed == 5
     assert result.baseline_hits == result.augmented_hits
     assert result.delta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# content keys on the warm path
+
+
+def test_pretrain_builds_each_content_key_once(monkeypatch):
+    """A subgraph's content key is built the first time a batch uses it and
+    kept on the cached object: an epoch that uses only subgraphs of the
+    dataset's cache that earlier batches used builds no key."""
+    ds = LinkDataset.from_graph("tri", lattice(rows=4, cols=4), seed=0)
+    epoch = [1]
+    built, used = {}, {}  # per epoch: keys built; the subgraph objects used, by id
+
+    class CountingContent(unilp.labeling.SubgraphContent):
+        __slots__ = ()
+
+        def __init__(self, labels, adj):
+            built[epoch[0]] = built.get(epoch[0], 0) + 1
+            super().__init__(labels, adj)
+
+    original_loss, original_validation = unilp.training.batch_loss, unilp.training._merged_validation
+
+    def loss_spy(params, config, items, tape):
+        for query, context, _ in items:
+            for sub in (query,) + context.positives + context.negatives:
+                used.setdefault(epoch[0], {})[id(sub)] = sub
+        return original_loss(params, config, items, tape)
+
+    def validation_spy(*args):
+        epoch[0] += 1
+        return original_validation(*args)
+
+    monkeypatch.setattr(unilp.labeling, "SubgraphContent", CountingContent)
+    monkeypatch.setattr(unilp.training, "batch_loss", loss_spy)
+    monkeypatch.setattr(unilp.training, "_merged_validation", validation_spy)
+    # every query in both epochs, and contexts of every other observed edge
+    # and half the free pairs: the first epoch uses every subgraph the
+    # second one does
+    tc = TrainConfig(seed=0, max_epochs=2, patience=2, batch_size=8, per_graph_cap=100,
+                     context_k=ds.observed.edge_count - 1, eval_context_size=4, hits_k=2)
+    _, record = pretrain([ds], [ds], SMALL_ICL, tc)
+    assert len(record.epochs) == 2
+    assert built[1] == len(used[1])
+    assert used[2].keys() <= used[1].keys()
+    assert 2 not in built
