@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 bad configuration, 2 bad data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -394,6 +395,7 @@ def _cmd_gradcheck(args):
 # parser wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unilp", description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="debug logging")

@@ -6,6 +6,11 @@ whose endpoints are connected by a simple path of exactly 2 (resp. 3) edges
 after removing any edge between them, what fraction are themselves linked?
 Regular lattices give clean constants here, which makes them useful probes
 for whether a context-conditioned scorer actually reads its context.
+
+`score_pairs` scores queries in fixed chunks against one shared context. A
+chunk encodes and scores each distinct query content once (many pairs of a
+lattice look alike) and gathers one probability per pair, which is
+bit-identical because a query's probability does not depend on its chunk.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .graphs import (
     write_json_atomic,
     write_text_atomic,
 )
-from .model import MODE_NO_CONTEXT, ContextSet, ModelConfig, encode_subgraphs, predict_batch
+from .model import (MODE_NO_CONTEXT, ContextSet, ModelConfig, distinct_contents, encode_subgraphs,
+                    predict_batch)
 from .autodiff import Tape, const
 
 #: Pairs scored per chunk; fixed so parallel and serial runs agree bit-for-bit.
@@ -196,11 +202,13 @@ def _constants(param_values: dict) -> dict:
 
 
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
+    """Probabilities of one chunk of pairs: each distinct query content is
+    encoded and scored once, and every pair gathers its content's value."""
     tape = Tape()
-    subs = [dataset.subgraph(p, config) for p in pairs]
-    h_query = encode_subgraphs(params, config, subs, tape)
+    distinct, picks = distinct_contents(dataset.subgraph(p, config) for p in pairs)
+    h_query = encode_subgraphs(params, config, distinct, tape)
     h_ctx = None if ctx_values is None else const(ctx_values)
-    return predict_batch(params, config, h_query, h_ctx, n_ctx_pos, tape).values.tolist()
+    return predict_batch(params, config, h_query, h_ctx, n_ctx_pos, tape).values[picks].tolist()
 
 
 _WORKER_STATE = {}
@@ -217,11 +225,8 @@ def _worker_init(param_values, config_dict, split_dict, name, ctx_values, n_ctx_
 
 
 def _worker_score(pairs):
-    ctx_values, n_ctx_pos = _WORKER_STATE["ctx"]
-    return _score_chunk(
-        _WORKER_STATE["params"], _WORKER_STATE["config"], _WORKER_STATE["dataset"],
-        pairs, ctx_values, n_ctx_pos,
-    )
+    state = _WORKER_STATE
+    return _score_chunk(state["params"], state["config"], state["dataset"], pairs, *state["ctx"])
 
 
 def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs: int = 1):
@@ -242,19 +247,13 @@ def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs:
     ctx_values, n_ctx_pos = _encode_context_values(params, config, context)
     chunks = [pairs[lo : lo + SCORE_CHUNK] for lo in range(0, len(pairs), SCORE_CHUNK)]
     if jobs == 1 or len(chunks) <= 1:
-        out = []
-        for chunk in chunks:
-            out.extend(_score_chunk(params, config, dataset, chunk, ctx_values, n_ctx_pos))
+        out = [s for chunk in chunks
+               for s in _score_chunk(params, config, dataset, chunk, ctx_values, n_ctx_pos)]
         return np.array(out, dtype=np.float64)
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(chunks)),
-        initializer=_worker_init,
-        initargs=(
-            param_values,
-            config.to_dict(), dataset.split.to_json_dict(), dataset.name,
-            ctx_values, n_ctx_pos,
-        ),
-    ) as pool:
+    initargs = (param_values, config.to_dict(), dataset.split.to_json_dict(), dataset.name,
+                ctx_values, n_ctx_pos)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks)), initializer=_worker_init,
+                             initargs=initargs) as pool:
         out = [s for chunk_scores in pool.map(_worker_score, chunks) for s in chunk_scores]
     return np.array(out, dtype=np.float64)
 

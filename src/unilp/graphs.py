@@ -58,7 +58,8 @@ class Graph:
     read-only.
     """
 
-    __slots__ = ("indptr", "indices", "source_ids", "_edge_array", "_edge_codes", "_nonedge_pools")
+    __slots__ = ("indptr", "indices", "source_ids", "_edge_array", "_edge_codes", "_nonedge_pools",
+                 "_neighbor_lists")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, source_ids=None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -69,6 +70,7 @@ class Graph:
         self._edge_array = None
         self._edge_codes = None
         self._nonedge_pools = {}
+        self._neighbor_lists = None
 
     @classmethod
     def from_edges(cls, n: int, edges, source_ids=None) -> "Graph":
@@ -110,6 +112,14 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    def neighbor_lists(self) -> tuple:
+        """Every node's sorted neighbors as a tuple of Python ints, built
+        once: the rows subgraph extraction walks."""
+        if self._neighbor_lists is None:
+            flat, ptr = self.indices.tolist(), self.indptr.tolist()
+            self._neighbor_lists = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self._neighbor_lists
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)

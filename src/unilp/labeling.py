@@ -1,13 +1,17 @@
 """Ego-subgraph extraction around a node pair and structural node labels.
 
 A candidate link (u, v) is represented by the subgraph induced on all nodes
-within `radius` hops of u or of v. The pair's own edge is masked during
-extraction (when present and requested): the walk and the adjacency build
-skip it, without copying the graph, so the representation of a known link
-never contains the link itself. An optional hop cap thins each BFS hop to
-a sample drawn from a stream seeded by the pair alone, so a pair is
-extracted the same way in training, validation and scoring. Each node then
-gets a two-slot label:
+within `radius` hops of u or of v, walked over the graph's neighbor rows as
+Python ints (`Graph.neighbor_lists`, built once per graph). The pair's own
+edge is masked during extraction (when present and requested) by replacing
+the two endpoint rows, without copying the graph, so the representation of
+a known link never contains the link itself. Extraction stays one pair per
+call: `LinkDataset.subgraph` memoizes pairs one at a time, the per-pair
+span is what perfbench's traced runs count, and the one step pairs could
+share, reading the graph's rows, already runs once per graph. An optional
+hop cap thins each BFS hop to a sample drawn from a stream seeded by the
+pair alone, so a pair is extracted the same way in training, validation and
+scoring. Each node then gets a two-slot label:
 
     (drnl(d_u, d_v), 0)   when the node reaches both targets,
     (0, d)                when it reaches exactly one target at distance d,
@@ -28,8 +32,6 @@ encode subgraphs of equal content once.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,75 +147,67 @@ class LabeledSubgraph:
         return SubgraphContent(self.labels, self.adj)
 
 
-def _bounded_bfs(neighbors, source: int, radius: int, cap, rng) -> dict:
-    """Distances within radius hops; each new frontier optionally thinned to
-    cap nodes (uniform, seeded)."""
+def _bounded_bfs(rows, first, source: int, radius: int, cap, rng) -> dict:
+    """Distances within radius hops, reading `first` as the source's row;
+    each new frontier optionally thinned to cap nodes (uniform, seeded). A
+    frontier is sorted only to be thinned: the seeded draw picks positions
+    in ascending node order, and otherwise its order changes nothing."""
     dist = {source: 0}
-    frontier = [source]
+    frontier = set(first)
     for depth in range(1, radius + 1):
-        nxt = sorted({w for x in frontier for w in neighbors(x)} - dist.keys())
-        if cap is not None and len(nxt) > cap:
-            picks = rng.choice(len(nxt), size=cap, replace=False)
-            nxt = [nxt[i] for i in sorted(picks)]
-        for w in nxt:
-            dist[w] = depth
-        frontier = nxt
+        if cap is not None and len(frontier) > cap:
+            ordered = sorted(frontier)
+            frontier = [ordered[i] for i in sorted(rng.choice(len(ordered), size=cap, replace=False))]
+        dist.update(dict.fromkeys(frontier, depth))
+        if depth < radius:
+            frontier = {w for x in frontier for w in rows[x]} - dist.keys()
     return dist
 
 
-def labeled_subgraph(
-    g: Graph,
-    pair,
-    radius: int,
-    remove_target: bool = True,
-    max_per_hop: int = None,
-) -> LabeledSubgraph:
+def labeled_subgraph(g: Graph, pair, radius: int, remove_target: bool = True,
+                     max_per_hop: int = None) -> LabeledSubgraph:
     """Labeled induced subgraph on nodes within radius hops of either
     endpoint; the form every model input takes.
 
-    With remove_target set, the target edge (when present) is masked: the
-    walk and the adjacency lists skip it, which gives the same subgraph as
-    extracting from `g.without_edge(u, v)` without copying g. Known links
-    are so represented the same way candidate links are. Both endpoints are
-    always included, even when isolated. Node order is canonical: u, v, then
+    With remove_target set, the target edge (when present) is masked in the
+    two endpoint rows, which gives the same subgraph as extracting from
+    `g.without_edge(u, v)` without copying g: a walk from u reads u's row
+    without v, and v's row only once u is visited. Known links are so
+    represented the same way candidate links are. Both endpoints are always
+    included, even when isolated. Node order is canonical: u, v, then
     ascending original ids. With max_per_hop, each hop keeps at most that
     many new nodes, drawn by `derive_rng(0, "hop-cap", u, v)`.
     """
     u, v = canonical_pair(*pair)
-    if v >= g.n:
+    if u < 0 or v >= g.n:
         raise ConfigError(f"pair {pair} out of range for graph with n={g.n}")
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius}")
-    masked = {u: v, v: u} if remove_target else {}
-
-    def neighbors(x):
-        row = g.neighbors(x).tolist()
-        other = masked.get(x)
-        return row if other is None else [w for w in row if w != other]
-
+    rows = g.neighbor_lists()
+    ends = [rows[u], rows[v]]
+    if remove_target and v in ends[0]:
+        ends = [[w for w in ends[0] if w != v], [w for w in ends[1] if w != u]]
     rng = derive_rng(0, "hop-cap", u, v) if max_per_hop is not None else None
-    du = _bounded_bfs(neighbors, u, radius, max_per_hop, rng)
-    dv = _bounded_bfs(neighbors, v, radius, max_per_hop, rng)
-    members = (du.keys() | dv.keys()) - {u, v}
-    nodes = [u, v] + sorted(members)
+    du = _bounded_bfs(rows, ends[0], u, radius, max_per_hop, rng)
+    dv = _bounded_bfs(rows, ends[1], v, radius, max_per_hop, rng)
+    nodes = [u, v] + sorted((du.keys() | dv.keys()) - {u, v})
     local = {orig: i for i, orig in enumerate(nodes)}
-    adj = tuple(
-        tuple(sorted(local[w] for w in neighbors(orig) if w in local))
-        for orig in nodes
-    )
+    adj = tuple([tuple(sorted([local[w] for w in row if w in local]))
+                 for row in ends + [rows[x] for x in nodes[2:]]])
     return LabeledSubgraph(nodes=tuple(nodes), adj=adj, radius=radius,
                            labels=_drnl_plus(nodes, adj))
 
 
 def _local_distances(adj: tuple, source: int) -> list:
-    dist = [math.inf] * len(adj)
+    """Hop distances from source inside the subgraph; -1 where unreachable."""
+    dist = [-1] * len(adj)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
+    queue = [source]
+    for x in queue:  # the list grows as the walk goes: a FIFO queue
+        d = dist[x] + 1
         for w in adj[x]:
-            if math.isinf(dist[w]):
-                dist[w] = dist[x] + 1
+            if dist[w] < 0:
+                dist[w] = d
                 queue.append(w)
     return dist
 
@@ -228,20 +222,16 @@ def _drnl_plus(nodes, adj: tuple) -> tuple:
     d_u = _local_distances(adj, 0)
     d_v = _local_distances(adj, 1)
     labels = [(1, 0), (1, 0)]
-    for i in range(2, len(adj)):
-        du, dv = d_u[i], d_v[i]
-        u_ok, v_ok = not math.isinf(du), not math.isinf(dv)
-        if u_ok and v_ok:
-            labels.append((drnl(int(du), int(dv)), 0))
-        elif u_ok:
-            labels.append((0, int(du)))
-        elif v_ok:
-            labels.append((0, int(dv)))
+    for node, du, dv in zip(nodes[2:], d_u[2:], d_v[2:]):
+        if du >= 0 and dv >= 0:
+            labels.append((drnl(du, dv), 0))
+        elif du >= 0:
+            labels.append((0, du))
+        elif dv >= 0:
+            labels.append((0, dv))
         else:
-            raise NumericError(
-                f"node {nodes[i]} unreachable from both targets; "
-                "extraction should make this impossible"
-            )
+            raise NumericError(f"node {node} unreachable from both targets; "
+                               "extraction should make this impossible")
     return tuple(labels)
 
 

@@ -27,9 +27,10 @@ queries at a time, so scoring never builds the (B, m, F') key block. Every
 op is a stack whose entries make the same BLAS call and the same reduction
 a single query would, or is elementwise, so a query's probability does not
 depend on the batch it is scored in, and permuting a context permutes its
-attention weights bit for bit. `batch_loss` encodes each distinct subgraph
-content of a batch once, keyed on `LabeledSubgraph.content` (labels and
-adjacency, which is all the encoder reads), and gathers rows for repeats:
+attention weights bit for bit. A training batch (`batch_loss`) and a scored
+chunk (`evaluation.score_pairs`) each encode every distinct subgraph content
+once, keyed on `LabeledSubgraph.content` (labels and adjacency, which is all
+the encoder reads) by `distinct_contents`, and gather rows for repeats:
 equal contents give equal rows bit for bit, so forward values are those of
 encoding every use.
 """
@@ -331,6 +332,20 @@ def predict_batch(params: dict, config: ModelConfig, h_query: Tensor, h_context,
 # full forward pass
 
 
+def distinct_contents(subs) -> tuple:
+    """The subgraphs of distinct content (`LabeledSubgraph.content`), first
+    of each in first-seen order, and per input subgraph the position of its
+    content among them: encoding the first list and gathering the positions
+    gives every input's row, bit for bit."""
+    index, distinct, picks = {}, [], []
+    for sub in subs:
+        i = index.setdefault(sub.content, len(index))
+        if i == len(distinct):
+            distinct.append(sub)
+        picks.append(i)
+    return distinct, picks
+
+
 def _item_probabilities(params, config, pairs, tape) -> Tensor:
     """Probabilities (B,) for (query_sub, context) pairs, in order.
 
@@ -348,26 +363,19 @@ def _item_probabilities(params, config, pairs, tape) -> Tensor:
     if len(shapes) > 1:
         raise ConfigError(f"a batch needs one context shape (size, n_pos), got {sorted(shapes)}")
     members = [sub for context in contexts for sub in chain(context.positives, context.negatives)]
-    unique = {sub.content: sub for sub in chain(queries, members)}
-    rows = {key: i for i, key in enumerate(unique)}
-    h_all = encode_subgraphs(params, config, list(unique.values()), tape)
+    distinct, picks = distinct_contents(chain(queries, members))
+    h_all = encode_subgraphs(params, config, distinct, tape)
     h_ctx, n_pos = None, 0
     if contexts:
         size, n_pos = shapes.pop()
-        picks = [rows[sub.content] for sub in members]
-        h_ctx = tape.reshape(tape.take_rows(h_all, picks), (len(pairs), size, config.hidden_dim))
-    h_query = tape.take_rows(h_all, [rows[sub.content] for sub in queries])
+        h_ctx = tape.reshape(tape.take_rows(h_all, picks[len(queries):]),
+                             (len(pairs), size, config.hidden_dim))
+    h_query = tape.take_rows(h_all, picks[:len(queries)])
     return predict_batch(params, config, h_query, h_ctx, n_pos, tape)
 
 
-def forward(
-    params: dict,
-    config: ModelConfig,
-    g: Graph,
-    query,
-    context: ContextSet = None,
-    tape: Tape = None,
-) -> Tensor:
+def forward(params: dict, config: ModelConfig, g: Graph, query, context: ContextSet = None,
+            tape: Tape = None) -> Tensor:
     """Probability that `query` is a link of g, shape (1,).
 
     The query subgraph is extracted from g with the target edge removed (a
@@ -396,18 +404,8 @@ def batch_loss(params: dict, config: ModelConfig, items, tape: Tape) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient verification harness (also driven by the CLI)
 
-GRADCHECK_CONFIG = ModelConfig(
-    hidden_dim=8,
-    attention_dim=8,
-    embed_dim=8,
-    encoder_layers=2,
-    mlp_layers=2,
-    mlp_hidden=8,
-    heads=1,
-    radius=1,
-    drnl_cap=12,
-    dist_cap=6,
-)
+GRADCHECK_CONFIG = ModelConfig(hidden_dim=8, attention_dim=8, embed_dim=8, encoder_layers=2,
+                               mlp_layers=2, mlp_hidden=8, heads=1, radius=1, drnl_cap=12, dist_cap=6)
 
 
 def model_gradient_check(seed: int, config: ModelConfig = GRADCHECK_CONFIG, h: float = 1e-5) -> float:

@@ -159,6 +159,12 @@ def test_label_command(ws, capsys):
     assert all(line.startswith("node ") for line in lines[1:])
 
 
+def test_label_rejects_negative_node_id(ws, capsys):
+    assert main(["label", "--edges", str(ws / "tri.edges"), "--u", "-1", "--v", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "out of range" in captured.err and "node -1" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # pretrain / finetune
 
@@ -469,3 +475,23 @@ def test_no_command_prints_help(capsys):
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_repeated_calls_share_one_parser_and_parse_afresh(ws, capsys):
+    from unilp.cli import _build_parser
+
+    label = ["label", "--edges", str(ws / "tri.edges"), "--u", "0", "--v", "1"]
+    assert main(label) == 0
+    first = capsys.readouterr().out
+    assert main(label[:-4] + ["--u", "2", "--v", "9", "--radius", "2"]) == 0
+    assert "radius 2" in capsys.readouterr().out
+    assert main(label[:-2]) == 1  # --v missing: a usage error
+    assert "error:" in capsys.readouterr().err
+    assert main(["verify-pattern", "--kind", "grid", "--rows", "4", "--cols", "4", "--torus"]) == 0
+    assert "p(link | 2-edge path) = 0" in capsys.readouterr().out
+    assert main([]) == 1
+    assert "usage:" in capsys.readouterr().out
+    # no option value of an earlier call carries over
+    assert main(label) == 0
+    assert capsys.readouterr().out == first
+    assert _build_parser() is _build_parser()

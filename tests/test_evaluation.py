@@ -271,6 +271,39 @@ def test_score_pairs_over_several_key_tiles_matches_pairs_alone(tri_dataset):
     assert scores.tobytes() == np.array(alone).tobytes()
 
 
+def test_score_pairs_encodes_and_scores_each_distinct_query_content_once(monkeypatch):
+    import unilp.evaluation as evaluation
+    from unilp.evaluation import SCORE_CHUNK
+
+    ds = LinkDataset.from_graph("grid", lattice("grid", 10, 10), seed=0)
+    params = init_params(SMALL_ICL, seed=1)
+    ctx = sample_context(ds, k=6, seed=2)
+    pairs = list(ds.split.test_pos) + list(ds.split.test_neg)
+    encoded, scored = [], []
+
+    def encode_spy(params, config, subs, tape):
+        encoded.append(list(subs))
+        return original_encode(params, config, subs, tape)
+
+    def predict_spy(params, config, h_query, h_context, n_pos, tape):
+        scored.append(h_query.shape[0])
+        return original_predict(params, config, h_query, h_context, n_pos, tape)
+
+    original_encode, original_predict = evaluation.encode_subgraphs, evaluation.predict_batch
+    monkeypatch.setattr(evaluation, "encode_subgraphs", encode_spy)
+    monkeypatch.setattr(evaluation, "predict_batch", predict_spy)
+    scores = score_pairs(params, SMALL_ICL, ds, pairs, ctx)
+    chunks = [pairs[lo:lo + SCORE_CHUNK] for lo in range(0, len(pairs), SCORE_CHUNK)]
+    # the first encoding is the context's
+    assert len(chunks) == 2 and len(encoded) == 3 and len(encoded[0]) == ctx.size
+    for chunk, subs, rows in zip(chunks, encoded[1:], scored):
+        contents = {ds.subgraph(pair, SMALL_ICL).content for pair in chunk}
+        assert len(subs) == rows == len(contents) < len(chunk)
+        assert {sub.content for sub in subs} == contents
+    alone = [score_pairs(params, SMALL_ICL, ds, [pair], ctx)[0] for pair in pairs]
+    assert scores.tobytes() == np.array(alone).tobytes()
+
+
 def test_score_pairs_canonicalizes_and_validates(tri_dataset):
     params = init_params(SMALL_PLAIN, seed=0)
     fwd = score_pairs(params, SMALL_PLAIN, tri_dataset, [(0, 1), (2, 5)])

@@ -64,6 +64,17 @@ def test_neighbors_are_sorted():
             assert row == sorted(row)
 
 
+def test_neighbor_lists_equal_the_csr_rows_and_are_built_once():
+    graphs = [random_graph(12, 0.4, seed) for seed in range(3)]
+    graphs += [Graph.from_edges(5, [(1, 3)]), Graph.from_edges(0, [])]
+    for g in graphs:
+        rows = g.neighbor_lists()
+        assert rows == tuple(tuple(g.neighbors(x).tolist()) for x in range(g.n))
+        assert all(type(w) is int for row in rows for w in row)
+        assert g.neighbor_lists() is rows
+    assert Graph.from_edges(5, [(1, 3)]).neighbor_lists() == ((), (3,), (), (1,), ())
+
+
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(DataError):
         Graph.from_edges(3, [(0, 3)])

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError
-from unilp.graphs import Graph, LatticeSpec, SbmSpec, generate_lattice, generate_sbm
+from unilp.graphs import Graph, LatticeSpec, SbmSpec, generate_lattice, generate_sbm, split_edges
 from unilp.labeling import LabelVocab, drnl, drnl_plus, labeled_subgraph
 from unilp.rng import derive_rng
+
+from oracles import reference_labeled_subgraph
 
 
 def random_graph(n, p, seed):
@@ -124,6 +126,47 @@ def test_extract_validates_arguments():
         labeled_subgraph(g, (0, 99), radius=1)
     with pytest.raises(ConfigError):
         labeled_subgraph(g, (0, 1), radius=0)
+
+
+def test_extract_rejects_negative_node_ids():
+    # node rows are a tuple, so -1 would otherwise read node n-1's row
+    g = generate_lattice(LatticeSpec(kind="grid", rows=4, cols=4, torus=True))
+    for pair in ((-1, 5), (5, -1), (-2, -1), (-1, 15)):
+        with pytest.raises(ConfigError, match="out of range"):
+            labeled_subgraph(g, pair, radius=1)
+
+
+def test_extraction_matches_the_reference_extractor():
+    """Every field equals the reference's (the plain extractor over
+    `Graph.neighbors` arrays) over radii 1-3, hop caps, both masking
+    modes, edges, non-edges and isolated endpoints."""
+    torus = generate_lattice(LatticeSpec(kind="triangular", rows=6, cols=6, torus=True))
+    sbm = generate_sbm(SbmSpec((8, 6), 0.5, 0.1), seed=2)
+    graphs = {
+        "grid": generate_lattice(LatticeSpec(kind="grid", rows=5, cols=5, torus=True)),
+        "triangular": torus,
+        # two extra nodes without edges
+        "sbm": Graph.from_edges(sbm.n + 2, map(tuple, sbm.edge_array().tolist())),
+        "observed": split_edges(torus, (0.7, 0.1, 0.2), seed=3).observed_graph(),
+    }
+    rng = derive_rng(0, "test-labeling-reference")
+    checked = {"edge": 0, "non-edge": 0, "isolated": 0}
+    for name, g in graphs.items():
+        edges = [tuple(e) for e in g.edge_array().tolist()]
+        others = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        picks = rng.choice(len(others), size=len(edges), replace=False)
+        alone = [p for p in others if min(g.degree(p[0]), g.degree(p[1])) == 0]
+        for pair in edges + [others[i] for i in picks] + alone[:8]:
+            kind = ("isolated" if min(g.degree(pair[0]), g.degree(pair[1])) == 0
+                    else "edge" if g.has_edge(*pair) else "non-edge")
+            checked[kind] += 1
+            for radius in (1, 2, 3):
+                for cap in (None, 1, 2, 3):
+                    for remove in (True, False):
+                        got = labeled_subgraph(g, pair, radius, remove, cap)
+                        want = reference_labeled_subgraph(g, pair, radius, remove, cap)
+                        assert got == want, (name, pair, radius, cap, remove)
+    assert min(checked.values()) > 0, checked
 
 
 def test_masked_extraction_matches_the_without_edge_view():

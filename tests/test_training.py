@@ -573,18 +573,21 @@ def test_transfer_probe_empty_extra_changes_nothing():
 
 
 def test_pretrain_builds_each_content_key_once(monkeypatch):
-    """A subgraph's content key is built the first time a batch uses it and
-    kept on the cached object: an epoch that uses only subgraphs of the
-    dataset's cache that earlier batches used builds no key."""
+    """A subgraph's content key is built the first time a batch or a
+    validation pass uses it and kept on the cached object: an epoch that
+    uses only subgraphs of the dataset's cache that earlier batches used
+    builds no key, and neither does a validation pass over the pairs an
+    earlier one scored. Keys are counted per phase, batches and validation
+    apart, so validation's keys never pass for a later epoch's."""
     ds = LinkDataset.from_graph("tri", lattice(rows=4, cols=4), seed=0)
-    epoch = [1]
-    built, used = {}, {}  # per epoch: keys built; the subgraph objects used, by id
+    phase = [("batches", 1)]
+    built, used = {}, {}  # keys built per phase; the subgraph objects batches used per epoch, by id
 
     class CountingContent(unilp.labeling.SubgraphContent):
         __slots__ = ()
 
         def __init__(self, labels, adj):
-            built[epoch[0]] = built.get(epoch[0], 0) + 1
+            built[phase[0]] = built.get(phase[0], 0) + 1
             super().__init__(labels, adj)
 
     original_loss, original_validation = unilp.training.batch_loss, unilp.training._merged_validation
@@ -592,12 +595,16 @@ def test_pretrain_builds_each_content_key_once(monkeypatch):
     def loss_spy(params, config, items, tape):
         for query, context, _ in items:
             for sub in (query,) + context.positives + context.negatives:
-                used.setdefault(epoch[0], {})[id(sub)] = sub
+                used.setdefault(phase[0][1], {})[id(sub)] = sub
         return original_loss(params, config, items, tape)
 
     def validation_spy(*args):
-        epoch[0] += 1
-        return original_validation(*args)
+        epoch = phase[0][1]
+        phase[0] = ("validation", epoch)
+        try:
+            return original_validation(*args)
+        finally:
+            phase[0] = ("batches", epoch + 1)
 
     monkeypatch.setattr(unilp.labeling, "SubgraphContent", CountingContent)
     monkeypatch.setattr(unilp.training, "batch_loss", loss_spy)
@@ -609,6 +616,10 @@ def test_pretrain_builds_each_content_key_once(monkeypatch):
                      context_k=ds.observed.edge_count - 1, eval_context_size=4, hits_k=2)
     _, record = pretrain([ds], [ds], SMALL_ICL, tc)
     assert len(record.epochs) == 2
-    assert built[1] == len(used[1])
+    assert built[("batches", 1)] == len(used[1])
     assert used[2].keys() <= used[1].keys()
-    assert 2 not in built
+    assert ("batches", 2) not in built
+    # scoring keys its queries on content too: the first validation builds
+    # the keys of the pairs no batch used, the second one none
+    assert built[("validation", 1)] > 0
+    assert ("validation", 2) not in built
