@@ -15,21 +15,17 @@ operators) enter through `spmm` as scipy CSR matrices; everything
 differentiable is dense numpy.
 
 The model runs a whole batch of queries through one sequence of ops, so
-`matmul`, `add`, `concat`, `dot_rows`, `softmax`, `slice_last` and `bce`
-also take stacked (N-D) operands, broadcasting leading axes the way numpy
-does, and `transpose` permutes axes. Stacked matmuls call the same BLAS
-routine per stack entry as the 1-D/2-D form would, and reductions run over
-a C-contiguous last axis (`dot_rows` as one einsum inner loop per row), so
-a batched forward pass reproduces the per-query values bit for bit.
-`key_scores` fuses the attention scores' add, leaky_relu and `dot_rows`
-into one op that runs over a few queries at a time, so the (B, m, F') key
-block is never built whole when scoring; it gives the unfused chain's
-values and gradients bit for bit.
-
-`scale`, `concat` and `dot_rows` have no caller in the package: the tests'
-reference definitions of the model (the per-query loss, the per-head
-attention and contextualization loops) are written with them, and a
-hygiene test checks that no other public op goes uncalled.
+`matmul`, `add`, `softmax`, `slice_last` and `bce` also take stacked (N-D)
+operands, broadcasting leading axes the way numpy does, and `transpose`
+permutes axes. Stacked matmuls call the same BLAS routine per stack entry
+as the 1-D/2-D form would, and reductions run over a C-contiguous last
+axis, so a batched forward pass reproduces the per-query values bit for
+bit. `key_scores` fuses the attention scores' add, leaky_relu and per-row
+dot product into one op that runs over a few queries at a time, so the
+(B, m, F') key block is never built whole when scoring; it gives the
+unfused chain's values and gradients bit for bit. The unfused chain's
+`dot_rows`, and the other ops the tests' reference definitions of the model
+use (`scale`, `concat`), live with those references in the tests.
 
 Gradients are stored without copies: a gradient function's array (or a
 view of it) may become the `.grad` of several tensors at once, so no stored
@@ -211,25 +207,6 @@ class Tape:
         return self._emit(av + bv, ((a, lambda g: _unbroadcast(g, av.shape)),
                                     (b, lambda g: _unbroadcast(g, bv.shape))), "add")
 
-    def scale(self, a: Tensor, c: float) -> Tensor:
-        c = float(c)
-        return self._emit(a.values * c, ((a, lambda g: g * c),), "scale")
-
-    def concat(self, a: Tensor, b: Tensor) -> Tensor:
-        """Concatenate along the last axis; leading axes broadcast, so a
-        (B, 1, F) block against an (m, F) one gives (B, m, 2F)."""
-        av, bv = a.values, b.values
-        if av.ndim == 0 or bv.ndim == 0:
-            raise ConfigError(f"concat needs at least 1-D operands: {av.shape} ++ {bv.shape}")
-        lead = _broadcast_shape("concat", av.shape[:-1], bv.shape[:-1])
-        split = av.shape[-1]
-        out = np.concatenate(
-            [np.broadcast_to(av, lead + av.shape[-1:]), np.broadcast_to(bv, lead + bv.shape[-1:])],
-            axis=-1,
-        )
-        return self._emit(out, ((a, lambda g: _unbroadcast(g[..., :split], av.shape)),
-                                (b, lambda g: _unbroadcast(g[..., split:], bv.shape))), "concat")
-
     def leaky_relu(self, x: Tensor, slope: float = 0.01) -> Tensor:
         """x * (1 if x > 0 else slope), for 0 <= slope <= 1.
 
@@ -271,22 +248,6 @@ class Tape:
         # outputs bit-exactly, which downstream invariance checks rely on
         out = e / np.sort(e, axis=-1).sum(axis=-1, keepdims=True)
         return self._emit(out, ((x, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))),), "softmax")
-
-    def dot_rows(self, x: Tensor, v: Tensor) -> Tensor:
-        """Dot product over the last axis, v broadcast against x's trailing
-        axes: (m, k) . (k,) -> (m,), or (B, m, H, k) . (H, k) -> (B, m, H).
-
-        Unlike matmul this reduces every row with the same summation tree
-        (one einsum inner loop over the last axis), so each output element
-        depends only on its own row: permuting the rows of x permutes the
-        result bit-exactly (BLAS matvec kernels do not guarantee that).
-        """
-        xv, vv = x.values, v.values
-        if vv.ndim == 0 or xv.ndim < vv.ndim or xv.shape[xv.ndim - vv.ndim:] != vv.shape:
-            raise ConfigError(f"dot_rows shapes incompatible: {xv.shape} . {vv.shape}")
-        return self._emit(np.einsum("...k,...k->...", xv, vv),
-                          ((x, lambda g: g[..., None] * vv),
-                           (v, lambda g: _unbroadcast(g[..., None] * xv, vv.shape))), "dot_rows")
 
     def key_scores(self, query_key: Tensor, context_key: Tensor, vec: Tensor, slope: float) -> Tensor:
         """Per-head attention scores dot_rows(leaky_relu(query_key +

@@ -295,35 +295,37 @@ def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
 def count_simple_paths(g: Graph, u: int, v: int, edge_len: int) -> int:
     """Number of simple paths from u to v using exactly edge_len edges.
 
-    Exhaustive DFS; edge_len is capped at MAX_SIMPLE_PATH_LEN because the
-    enumeration grows with degree**edge_len.
+    Exhaustive DFS over the rows of `Graph.neighbor_lists()`, keeping the
+    nodes of the current path in a list. The last hop is a set lookup: from
+    the path's second-to-last node, count the neighbours that are off the
+    path and in v's row. edge_len is capped at MAX_SIMPLE_PATH_LEN because
+    the enumeration grows with degree**edge_len.
     """
     u, v = int(u), int(v)
     if u == v:
         raise ConfigError("count_simple_paths requires distinct endpoints")
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ConfigError(f"pair ({u}, {v}) out of range for graph with n={g.n}")
     if not 1 <= edge_len <= MAX_SIMPLE_PATH_LEN:
-        raise ConfigError(
-            f"edge_len must be in [1, {MAX_SIMPLE_PATH_LEN}], got {edge_len}"
-        )
-    visited = np.zeros(g.n, dtype=bool)
-    visited[u] = True
-    count = 0
+        raise ConfigError(f"edge_len must be in [1, {MAX_SIMPLE_PATH_LEN}], got {edge_len}")
+    rows = g.neighbor_lists()
+    if edge_len == 1:
+        return int(v in rows[u])
+    last = set(rows[v])  # holds no v: graphs have no self-loops
+    path = [u]
 
     def walk(node, remaining):
-        nonlocal count
-        for w in g.neighbors(node):
-            if w == v:
-                if remaining == 1:
-                    count += 1
-                continue
-            if remaining == 1 or visited[w]:
-                continue
-            visited[w] = True
-            walk(w, remaining - 1)
-            visited[w] = False
+        if remaining == 2:
+            return sum(1 for w in rows[node] if w in last and w not in path)
+        count = 0
+        for w in rows[node]:
+            if w != v and w not in path:
+                path.append(w)
+                count += walk(w, remaining - 1)
+                path.pop()
+        return count
 
-    walk(u, edge_len)
-    return count
+    return walk(u, edge_len)
 
 
 

@@ -1,11 +1,16 @@
-"""Reference graph algorithms that only the tests use: plain per-pair forms
-that the package's batched and faster code is checked against."""
+"""Reference algorithms that only the tests use: plain per-pair graph forms
+that the package's batched and faster code is checked against, and the
+tape ops that the tests' reference definitions of the model are written
+with."""
 
 import math
 from collections import deque
 
+import numpy as np
+
+from unilp.autodiff import Tape, Tensor, _broadcast_shape, _unbroadcast
 from unilp.errors import ConfigError, NumericError
-from unilp.graphs import Graph, canonical_pair
+from unilp.graphs import MAX_SIMPLE_PATH_LEN, Graph, canonical_pair
 from unilp.labeling import LabeledSubgraph, drnl
 from unilp.rng import derive_rng
 
@@ -30,6 +35,40 @@ def shortest_path(g: Graph, u: int, v: int):
                 seen.add(w)
                 queue.append((w, d + 1))
     return UNREACHABLE
+
+
+def reference_count_simple_paths(g: Graph, u: int, v: int, edge_len: int) -> int:
+    """Number of simple paths from u to v using exactly edge_len edges.
+
+    Exhaustive DFS; edge_len is capped at MAX_SIMPLE_PATH_LEN because the
+    enumeration grows with degree**edge_len.
+    """
+    u, v = int(u), int(v)
+    if u == v:
+        raise ConfigError("count_simple_paths requires distinct endpoints")
+    if not 1 <= edge_len <= MAX_SIMPLE_PATH_LEN:
+        raise ConfigError(
+            f"edge_len must be in [1, {MAX_SIMPLE_PATH_LEN}], got {edge_len}"
+        )
+    visited = np.zeros(g.n, dtype=bool)
+    visited[u] = True
+    count = 0
+
+    def walk(node, remaining):
+        nonlocal count
+        for w in g.neighbors(node):
+            if w == v:
+                if remaining == 1:
+                    count += 1
+                continue
+            if remaining == 1 or visited[w]:
+                continue
+            visited[w] = True
+            walk(w, remaining - 1)
+            visited[w] = False
+
+    walk(u, edge_len)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -136,3 +175,55 @@ def _drnl_plus(nodes, adj: tuple) -> tuple:
                 "extraction should make this impossible"
             )
     return tuple(labels)
+
+
+# ---------------------------------------------------------------------------
+# tape ops that only the tests' reference definitions of the model use
+
+
+class ReferenceTape(Tape):
+    """A `Tape` with `scale`, `concat` and `dot_rows`, which the per-query
+    and per-head reference definitions in the tests are written with."""
+
+    @classmethod
+    def on(cls, tape: Tape) -> "ReferenceTape":
+        """A ReferenceTape that records onto `tape`, for loss functions that
+        are handed a plain Tape (`check_gradients` makes its own)."""
+        ref = cls()
+        ref._nodes = tape._nodes
+        return ref
+
+    def scale(self, a: Tensor, c: float) -> Tensor:
+        c = float(c)
+        return self._emit(a.values * c, ((a, lambda g: g * c),), "scale")
+
+    def concat(self, a: Tensor, b: Tensor) -> Tensor:
+        """Concatenate along the last axis; leading axes broadcast, so a
+        (B, 1, F) block against an (m, F) one gives (B, m, 2F)."""
+        av, bv = a.values, b.values
+        if av.ndim == 0 or bv.ndim == 0:
+            raise ConfigError(f"concat needs at least 1-D operands: {av.shape} ++ {bv.shape}")
+        lead = _broadcast_shape("concat", av.shape[:-1], bv.shape[:-1])
+        split = av.shape[-1]
+        out = np.concatenate(
+            [np.broadcast_to(av, lead + av.shape[-1:]), np.broadcast_to(bv, lead + bv.shape[-1:])],
+            axis=-1,
+        )
+        return self._emit(out, ((a, lambda g: _unbroadcast(g[..., :split], av.shape)),
+                                (b, lambda g: _unbroadcast(g[..., split:], bv.shape))), "concat")
+
+    def dot_rows(self, x: Tensor, v: Tensor) -> Tensor:
+        """Dot product over the last axis, v broadcast against x's trailing
+        axes: (m, k) . (k,) -> (m,), or (B, m, H, k) . (H, k) -> (B, m, H).
+
+        Unlike matmul this reduces every row with the same summation tree
+        (one einsum inner loop over the last axis), so each output element
+        depends only on its own row: permuting the rows of x permutes the
+        result bit-exactly (BLAS matvec kernels do not guarantee that).
+        """
+        xv, vv = x.values, v.values
+        if vv.ndim == 0 or xv.ndim < vv.ndim or xv.shape[xv.ndim - vv.ndim:] != vv.shape:
+            raise ConfigError(f"dot_rows shapes incompatible: {xv.shape} . {vv.shape}")
+        return self._emit(np.einsum("...k,...k->...", xv, vv),
+                          ((x, lambda g: g[..., None] * vv),
+                           (v, lambda g: _unbroadcast(g[..., None] * xv, vv.shape))), "dot_rows")

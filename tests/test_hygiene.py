@@ -1,6 +1,6 @@
 """Source checks that need no linter: every name a module imports is used,
-every public tape op outside the tests' references has a caller, and only
-the tape's backward pass accumulates gradients."""
+every public tape op has a caller, only the tape's backward pass
+accumulates gradients, and no loop walks a numpy neighbour row."""
 
 import ast
 from pathlib import Path
@@ -71,12 +71,13 @@ def tape_ops_called(source: str) -> set:
 
 
 def test_only_the_test_reference_tape_ops_go_uncalled():
-    """scale, concat and dot_rows define the model bit for bit in the tests'
-    references; any other public op no package module calls is dead code."""
+    """The ops only the tests' references use (scale, concat, dot_rows) live
+    on `oracles.ReferenceTape`, so every public op of the package's Tape has
+    a caller in the package; one that no module calls is dead code."""
     public = {name for name, value in vars(Tape).items()
               if callable(value) and not name.startswith("_")}
     called = set().union(*(tape_ops_called(path.read_text(encoding="utf-8")) for path in SOURCES))
-    assert public - called == {"scale", "concat", "dot_rows"}
+    assert public - called == set()
     # receivers other than a tape do not count
     assert tape_ops_called("tape.add(a, b)\nTape().bce(p, 1)\nedges.add(x)\nnp.add(a, b)\n") == {"add", "bce"}
 
@@ -129,3 +130,36 @@ def test_only_the_backward_pass_accumulates_gradients():
     )
     assert gradient_bookkeeping(snippet) == (
         {"<module>", "Tape.backward", "Tape.scale", "Tape.clamp"}, {"Tape.scale"})
+
+
+def neighbor_row_loops(source: str) -> list:
+    """Lines of the `for` loops and comprehensions that iterate a
+    `.neighbors(...)` call, walking a numpy row one scalar at a time."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            loop = node.iter
+            if (isinstance(loop, ast.Call) and isinstance(loop.func, ast.Attribute)
+                    and loop.func.attr == "neighbors"):
+                lines.append(loop.lineno)
+    return lines
+
+
+def test_no_loop_walks_a_numpy_neighbor_row():
+    """Python walks read `Graph.neighbor_lists()` rows (tuples of ints)."""
+    found = {path.name: neighbor_row_loops(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    snippet = (
+        "for w in g.neighbors(x):\n"
+        "    pass\n"
+        "rows = g.neighbor_lists()\n"
+        "for w in rows[x]:\n"
+        "    pass\n"
+        "seen = {w for w in self.neighbors(u) if w > u}\n"
+        "row = g.neighbors(x)\n"
+        "for w in g.neighbors(x).tolist():\n"
+        "    pass\n"
+        "for x in neighbors(row):\n"
+        "    pass\n"
+    )
+    assert neighbor_row_loops(snippet) == [1, 6]

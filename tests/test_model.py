@@ -26,6 +26,8 @@ import unilp.model as model_module
 from unilp.rng import derive_rng
 from unilp.training import LinkDataset, sample_context
 
+from oracles import ReferenceTape
+
 SMALL = ModelConfig(
     hidden_dim=16, attention_dim=16, embed_dim=16,
     encoder_layers=2, mlp_layers=2, mlp_hidden=16,
@@ -443,7 +445,7 @@ def test_attention_path_matches_per_head_loops_bitwise(monkeypatch):
             monkeypatch.setattr(autodiff, "KEY_SCORES_TILE", budget)
             h_q = rng.normal(size=(3, 16))
             h_ctx = rng.normal(size=(3, m, 16))
-            tape = Tape()
+            tape = ReferenceTape()
             batched_alpha = attention_scores(params, cfg, const(h_q), const(h_ctx), tape)
             batched_tilde = contextualize(params, cfg, batched_alpha, const(h_ctx), n_pos, tape)
             batched_prob = predict(params, cfg, batched_tilde, tape).values
@@ -489,7 +491,7 @@ def reference_batch_loss(params, cfg, items):
     (loss, gradients)."""
     from unilp.autodiff import zero_grad
 
-    tape = Tape()
+    tape = ReferenceTape()
     total = None
     for query_sub, context, label in items:
         if cfg.mode == "no_context":
