@@ -1,14 +1,15 @@
 """Graph substrate: immutable undirected graphs, generators, paths, splits.
 
 Graphs are simple (no self-loops, no multi-edges) over dense 0-based node
-ids, stored in compressed row form with each neighbor list sorted. All other
-modules treat `Graph` as read-only. A pair u < v is numbered by
-`pair_index`, its position in the lexicographic list of all pairs. Derived
-state that never changes (the edge array and its pair indices, the
-forbidden pair indices of `sample_nonedges`) is cached on the graph and
-dies with it. Subgraph extraction masks a target edge while it walks the
-graph (see labeling); `Graph.without_edge` builds an explicit copy without
-one edge, for callers that need a whole graph.
+ids, stored in compressed row form with each neighbor list sorted. Every
+graph, generated, loaded or split, is built from node pairs by one array
+path, `Graph.from_edges`; all other modules treat `Graph` as read-only. A
+pair u < v is numbered by `pair_index`, its position in the lexicographic
+list of all pairs. Derived state that never changes (the edge array and its
+pair indices, the forbidden pair indices of `sample_nonedges`) is cached on
+the graph and dies with it. Subgraph extraction masks a target edge while
+it walks the graph (see labeling); `Graph.without_edge` builds an explicit
+copy without one edge, for callers that need a whole graph.
 """
 
 from __future__ import annotations
@@ -74,30 +75,33 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, source_ids=None) -> "Graph":
-        """Build from an iterable of canonical (u, v) pairs with u < v."""
+        """Build any graph from node pairs, in array form: `edges` is an
+        iterable of (u, v) integer pairs (either order, repeats collapse) or an
+        (m, 2) integer array. Input that is not pairs of integers, or holds a
+        self-pair, raises ConfigError; an endpoint outside [0, n), DataError."""
         n = int(n)
         if n < 0:
             raise ConfigError("node count must be non-negative")
-        pairs = sorted(set(canonical_pair(u, v) for u, v in edges))
-        bad = [p for p in pairs if p[0] < 0 or p[1] >= n]
-        if bad:
-            raise DataError(f"edge endpoints must lie in [0, {n}); got {bad[0]}")
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in pairs:
-            deg[u] += 1
-            deg[v] += 1
+        try:
+            pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        except OverflowError as exc:
+            raise DataError(f"edge endpoints must lie in [0, {n}): {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"edges must be (u, v) pairs of integers: {exc}")
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ConfigError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        if (u == v).any():
+            raise ConfigError(f"node pair must have two distinct endpoints, got {tuple(pairs[u == v][0].tolist())}")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise DataError(f"edge endpoints must lie in [0, {n}); got ids {pairs.min()} to {pairs.max()}")
+        # each edge both ways as row * n + col; sorted and unique, the CSR entries
+        codes = np.sort(np.concatenate([u * n + v, v * n + u]))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.zeros(indptr[-1], dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        # lexicographic pair order fills every row in ascending neighbor
-        # order: back-neighbors (< u) land before forward ones (> u)
-        for u, v in pairs:
-            indices[cursor[u]] = v
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            cursor[v] += 1
-        return cls(indptr, indices, source_ids)
+        np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+        return cls(indptr, codes % n, source_ids)
 
     @property
     def n(self) -> int:
@@ -176,12 +180,12 @@ def load_edge_list(path) -> Graph:
     """Read a whitespace-separated "u v" edge list.
 
     Lines starting with '#' (and inline '# ...' tails) are comments. Node
-    ids may be arbitrary non-negative integers; they are mapped onto a dense
+    ids may be any integers in [0, 2**63); they are mapped onto a dense
     0-based range in sorted order and the original ids are kept on
     `Graph.source_ids`. Duplicate edges collapse; self-loops are dropped
     with a logged count.
     """
-    edges = set()
+    pairs = []
     self_loops = 0
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -199,20 +203,19 @@ def load_edge_list(path) -> Graph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-integer node id in {raw.strip()!r}")
-            if u < 0 or v < 0:
-                raise DataError(f"{path}: line {lineno}: negative node id in {raw.strip()!r}")
+            if not (0 <= u < 2**63 and 0 <= v < 2**63):
+                raise DataError(f"{path}: line {lineno}: node id outside [0, 2**63) in {raw.strip()!r}")
             if u == v:
                 self_loops += 1
                 continue
-            edges.add((min(u, v), max(u, v)))
+            pairs.append((u, v))
     if self_loops:
         log.warning("%s: dropped %d self-loop(s)", path, self_loops)
-    if not edges:
+    if not pairs:
         raise DataError(f"{path}: no edges found")
-    ids = sorted({x for e in edges for x in e})
-    dense = {orig: i for i, orig in enumerate(ids)}
-    remapped = [(dense[u], dense[v]) for u, v in edges]
-    return Graph.from_edges(len(ids), remapped, source_ids=np.array(ids, dtype=np.int64))
+    ids, dense = np.unique(np.array(pairs, dtype=np.int64), return_inverse=True)
+    # the inverse's shape differs across NumPy versions
+    return Graph.from_edges(len(ids), dense.reshape(-1, 2), source_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -254,38 +257,27 @@ class SbmSpec:
 
 
 def generate_lattice(spec: LatticeSpec) -> Graph:
+    """Link node r * cols + c one step right, down and, if triangular, down-right."""
     rows, cols = spec.rows, spec.cols
-    n = rows * cols
-
-    def nid(r, c):
-        return (r % rows) * cols + (c % cols)
-
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols or spec.torus:
-                edges.add(canonical_pair(nid(r, c), nid(r, c + 1)))
-            if r + 1 < rows or spec.torus:
-                edges.add(canonical_pair(nid(r, c), nid(r + 1, c)))
-            if spec.kind == "triangular" and ((r + 1 < rows and c + 1 < cols) or spec.torus):
-                edges.add(canonical_pair(nid(r, c), nid(r + 1, c + 1)))
-    return Graph.from_edges(n, edges)
+    r, c = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
+    steps = ((0, 1), (1, 0), (1, 1)) if spec.kind == "triangular" else ((0, 1), (1, 0))
+    pairs = []
+    for dr, dc in steps:
+        keep = spec.torus | ((r + dr < rows) & (c + dc < cols))
+        pairs.append(np.stack([r * cols + c, (r + dr) % rows * cols + (c + dc) % cols], axis=1)[keep])
+    return Graph.from_edges(rows * cols, np.concatenate(pairs))
 
 
 def generate_sbm(spec: SbmSpec, seed: int) -> Graph:
     """Sample an SBM graph; deterministic for a given (spec, seed)."""
     sizes = spec.block_sizes
     n = sum(sizes)
-    starts = np.cumsum((0,) + sizes)
-    block_of = np.zeros(n, dtype=np.int64)
-    for b, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        block_of[lo:hi] = b
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
     rng = derive_rng(seed, "sbm", sizes, repr(spec.p_in), repr(spec.p_out))
     iu, iv = np.triu_indices(n, k=1)
     p = np.where(block_of[iu] == block_of[iv], spec.p_in, spec.p_out)
     mask = rng.random(len(iu)) < p
-    edges = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, np.stack([iu[mask], iv[mask]], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +417,7 @@ class DataSplit:
     id_map: tuple = field(default=None)
 
     def observed_graph(self) -> Graph:
-        src = None if self.id_map is None else np.array(self.id_map, dtype=np.int64)
-        return Graph.from_edges(self.node_count, self.observed, source_ids=src)
+        return Graph.from_edges(self.node_count, self.observed, source_ids=self.id_map)
 
     def full_edge_set(self) -> frozenset:
         return frozenset(self.observed) | frozenset(self.valid_pos) | frozenset(self.test_pos)
@@ -492,14 +483,13 @@ def split_edges(g: Graph, fractions: tuple, seed: int) -> DataSplit:
     m = g.edge_count
     if m < 10:
         raise DataError(f"graph has {m} edges; at least 10 required to split")
-    edges = [tuple(e) for e in g.edge_array().tolist()]
-    rng = derive_rng(seed, "split-perm")
-    perm = rng.permutation(m)
+    perm = derive_rng(seed, "split-perm").permutation(m)
     n_valid = math.floor(m * f_valid)
     n_test = math.floor(m * f_test)
-    valid_pos = tuple(edges[i] for i in perm[:n_valid])
-    test_pos = tuple(edges[i] for i in perm[n_valid : n_valid + n_test])
-    observed = tuple(sorted(edges[i] for i in perm[n_valid + n_test :]))
+    valid_pos = tuple(map(tuple, g.edge_array()[perm[:n_valid]].tolist()))
+    test_pos = tuple(map(tuple, g.edge_array()[perm[n_valid : n_valid + n_test]].tolist()))
+    # edge_array() rows are sorted, so sorted positions give sorted pairs
+    observed = tuple(map(tuple, g.edge_array()[np.sort(perm[n_valid + n_test :])].tolist()))
     negatives = sample_nonedges(g, n_valid + n_test, derive_seed_int(seed, "split-neg"))
     id_map = tuple(g.source_ids.tolist()) if g.source_ids is not None else tuple(range(g.n))
     return DataSplit(
@@ -543,12 +533,7 @@ def write_text_atomic(path, text: str):
 
 
 def save_edge_list(path, g: Graph, header: str = ""):
-    lines = []
-    if header:
-        lines.extend(f"# {line}" for line in header.splitlines())
-    src = g.source_ids
-    for u, v in g.edge_array().tolist():
-        if src is not None:
-            u, v = int(src[u]), int(src[v])
-        lines.append(f"{u} {v}")
+    lines = [f"# {line}" for line in header.splitlines()]
+    edges = g.edge_array() if g.source_ids is None else g.source_ids[g.edge_array()]
+    lines.extend(f"{u} {v}" for u, v in edges.tolist())
     write_text_atomic(path, "\n".join(lines) + "\n")

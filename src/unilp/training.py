@@ -448,6 +448,8 @@ def transfer_probe(target: Graph, extra: Graph, model_config: ModelConfig,
     if model_config.mode != MODE_NO_CONTEXT:
         raise ConfigError("transfer_probe requires no_context mode")
     split = split_edges(target, fractions, derive_seed_int(seed, "probe-split"))
+    if not split.test_pos:
+        raise DataError(f"target has an empty test slice at fractions {tuple(fractions)}")
     arm_config = replace(train_config, seed=derive_seed_int(seed, "probe-train"))
     ds_target = LinkDataset(name="target", split=split)
     ds_extra = LinkDataset.whole_graph("extra", extra)

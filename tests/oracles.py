@@ -9,8 +9,8 @@ from collections import deque
 import numpy as np
 
 from unilp.autodiff import Tape, Tensor, _broadcast_shape, _unbroadcast
-from unilp.errors import ConfigError, NumericError
-from unilp.graphs import MAX_SIMPLE_PATH_LEN, Graph, canonical_pair
+from unilp.errors import ConfigError, DataError, NumericError
+from unilp.graphs import MAX_SIMPLE_PATH_LEN, Graph, LatticeSpec, canonical_pair
 from unilp.labeling import LabeledSubgraph, drnl
 from unilp.rng import derive_rng
 
@@ -35,6 +35,57 @@ def shortest_path(g: Graph, u: int, v: int):
                 seen.add(w)
                 queue.append((w, d + 1))
     return UNREACHABLE
+
+
+# ---------------------------------------------------------------------------
+# the per-pair graph builders: `Graph.from_edges` and `generate_lattice` must
+# build the CSR arrays that these loops build
+
+
+def reference_from_edges(n: int, edges, source_ids=None) -> Graph:
+    """Build from an iterable of canonical (u, v) pairs with u < v."""
+    n = int(n)
+    if n < 0:
+        raise ConfigError("node count must be non-negative")
+    pairs = sorted(set(canonical_pair(u, v) for u, v in edges))
+    bad = [p for p in pairs if p[0] < 0 or p[1] >= n]
+    if bad:
+        raise DataError(f"edge endpoints must lie in [0, {n}); got {bad[0]}")
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.zeros(indptr[-1], dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    # lexicographic pair order fills every row in ascending neighbor
+    # order: back-neighbors (< u) land before forward ones (> u)
+    for u, v in pairs:
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
+    return Graph(indptr, indices, source_ids)
+
+
+def reference_lattice(spec: LatticeSpec) -> Graph:
+    rows, cols = spec.rows, spec.cols
+    n = rows * cols
+
+    def nid(r, c):
+        return (r % rows) * cols + (c % cols)
+
+    edges = set()
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols or spec.torus:
+                edges.add(canonical_pair(nid(r, c), nid(r, c + 1)))
+            if r + 1 < rows or spec.torus:
+                edges.add(canonical_pair(nid(r, c), nid(r + 1, c)))
+            if spec.kind == "triangular" and ((r + 1 < rows and c + 1 < cols) or spec.torus):
+                edges.add(canonical_pair(nid(r, c), nid(r + 1, c + 1)))
+    return reference_from_edges(n, edges)
 
 
 def reference_count_simple_paths(g: Graph, u: int, v: int, edge_len: int) -> int:

@@ -88,6 +88,13 @@ def test_split_errors(ws, tmp_path):
                  "--out", out]) == 1
 
 
+def test_split_rejects_node_ids_beyond_int64(tmp_path, capsys):
+    edges = tmp_path / "huge.edges"
+    edges.write_text("0 1\n1 99999999999999999999\n")
+    assert main(["split", "--edges", str(edges), "--out", str(tmp_path / "s.json")]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # heuristic / label
 
@@ -419,6 +426,18 @@ def test_transfer_probe_command(ws, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["mean_delta"] == 0.0
     assert doc["runs"][0]["seed"] == 5
+
+
+def test_transfer_probe_empty_test_slice_is_a_data_error(tmp_path):
+    config = {
+        "target": {"kind": "grid", "rows": 3, "cols": 4},
+        "extra": {"kind": "grid", "rows": 3, "cols": 3},
+        "fractions": [0.85, 0.1, 0.05],
+        "model": {**SMALL_PLAIN.to_dict()},
+    }
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(config))
+    assert main(["transfer-probe", "--config", str(path)]) == 2
 
 
 def test_transfer_probe_config_errors(tmp_path):

@@ -21,7 +21,13 @@ from unilp.graphs import (
 )
 from unilp.rng import derive_rng
 
-from oracles import UNREACHABLE, reference_count_simple_paths, shortest_path
+from oracles import (
+    UNREACHABLE,
+    reference_count_simple_paths,
+    reference_from_edges,
+    reference_lattice,
+    shortest_path,
+)
 
 
 def lattice(kind, rows, cols, torus=False):
@@ -83,6 +89,56 @@ def test_from_edges_rejects_out_of_range():
     # the bad endpoint need not sit in the lexicographically last pair
     with pytest.raises(DataError):
         Graph.from_edges(50, [(0, 99), (1, 2)])
+    with pytest.raises(DataError):
+        Graph.from_edges(50, [(1, 2), (0, 2**64)])
+
+
+def assert_same_csr(g, ref):
+    assert g.indptr.dtype == ref.indptr.dtype and g.indices.dtype == ref.indices.dtype
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert np.array_equal(g.indices, ref.indices)
+
+
+def test_from_edges_matches_the_reference_on_pair_lists():
+    rng = derive_rng(0, "test-from-edges")
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, 3 * n))
+        u, v = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        # repeats, both orders, and nodes no pair touches (n exceeds the ids)
+        pairs = [(int(a), int(b)) for a, b in zip(u, v) if a != b]
+        pairs += [(b, a) for a, b in pairs[: m // 3]]
+        ref = reference_from_edges(n + 3, pairs)
+        as_array = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+        for edges in (pairs, set(pairs), iter(pairs), (p for p in pairs), as_array,
+                      [(np.int64(a), np.int64(b)) for a, b in pairs]):
+            assert_same_csr(Graph.from_edges(n + 3, edges), ref)
+    for n in (0, 4):
+        for edges in ([], (), set(), np.zeros((0, 2), dtype=np.int64)):
+            assert_same_csr(Graph.from_edges(n, edges), reference_from_edges(n, []))
+    for seed in range(20):
+        g = generate_sbm(SbmSpec(block_sizes=(12, 9, 7), p_in=0.4, p_out=0.05), seed=seed)
+        assert_same_csr(g, reference_from_edges(g.n, g.edge_array().tolist()))
+
+
+def test_lattices_match_the_reference_builder():
+    for kind, rows, cols, torus in itertools.product(
+            ("grid", "triangular"), range(3, 9), range(3, 9), (False, True)):
+        spec = LatticeSpec(kind=kind, rows=rows, cols=cols, torus=torus)
+        assert_same_csr(generate_lattice(spec), reference_lattice(spec))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 2)],                          # a triple
+    [(0, 1), (2,)],                       # ragged rows
+    [("a", "b")],                         # non-numeric ids
+    np.array([[0, 1, 2], [3, 4, 0]]),     # (2, 3): not three pairs
+    np.array([0, 1, 2, 3]),               # flat, not pairs
+    [(1, 1)],                             # a self-pair
+])
+def test_from_edges_rejects_malformed_pairs(edges):
+    with pytest.raises(ConfigError):
+        Graph.from_edges(5, edges)
 
 
 def test_edge_array_is_sorted_and_frozen():
@@ -118,6 +174,16 @@ def test_lattice_edge_counts():
     assert lattice("triangular", 3, 3, torus=True).edge_count == 27
     assert lattice("grid", 4, 5, torus=True).edge_count == 40
     assert lattice("grid", 4, 5).n == 20
+
+
+def test_large_triangular_torus_and_its_split():
+    g = lattice("triangular", 300, 300, torus=True)
+    assert (g.n, g.edge_count) == (90_000, 270_000)
+    assert np.all(np.diff(g.indptr) == 6)
+    split = split_edges(g, (0.7, 0.1, 0.2), seed=0)
+    sizes = len(split.observed), len(split.valid_pos), len(split.test_pos)
+    assert sizes == (189_000, 27_000, 54_000)
+    assert list(split.observed) == sorted(split.observed)
 
 
 def test_grid_is_degree_4_on_torus():
@@ -285,6 +351,34 @@ def test_load_edge_list_remaps_sparse_ids(tmp_path):
     assert g.n == 3
     assert list(g.source_ids) == [7, 10, 400]
     assert g.edge_set() == {(1, 2), (0, 2)}
+
+
+def test_edge_list_round_trip_keeps_huge_ids(tmp_path):
+    rng = derive_rng(0, "test-huge-ids")
+    for trial in range(10):
+        ids = rng.integers(0, 10**12, size=(int(rng.integers(1, 60)), 2))
+        path = tmp_path / f"g{trial}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in ids.tolist()))
+        g = load_edge_list(path)
+        kept = {(min(u, v), max(u, v)) for u, v in ids.tolist() if u != v}
+        assert g.source_ids.tolist() == sorted({x for e in kept for x in e})
+        assert {tuple(g.source_ids[e].tolist()) for e in g.edge_array()} == kept
+        save_edge_list(tmp_path / "once.txt", g)
+        again = load_edge_list(tmp_path / "once.txt")
+        assert np.array_equal(again.source_ids, g.source_ids)
+        assert_same_csr(again, g)
+        save_edge_list(tmp_path / "twice.txt", again)
+        assert (tmp_path / "twice.txt").read_bytes() == (tmp_path / "once.txt").read_bytes()
+
+
+def test_load_edge_list_rejects_ids_beyond_int64(tmp_path):
+    path = tmp_path / "huge.txt"
+    for line in ("1 99999999999999999999", f"{2**63} 1"):
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_edge_list(path)
+    path.write_text(f"0 {2**63 - 1}\n")
+    assert load_edge_list(path).source_ids.tolist() == [0, 2**63 - 1]
 
 
 def test_load_edge_list_rejects_bad_lines(tmp_path):

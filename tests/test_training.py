@@ -555,6 +555,17 @@ def test_transfer_probe_requires_no_context():
         transfer_probe(lattice("grid", 6, 6), path_graph(), SMALL_ICL, TrainConfig())
 
 
+def test_transfer_probe_rejects_an_empty_test_slice_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretrain ran")
+
+    monkeypatch.setattr(unilp.training, "pretrain", no_training)
+    # a 3x4 grid has 17 edges: 0.05 of them rounds down to no test pair
+    with pytest.raises(DataError, match="empty test slice"):
+        transfer_probe(generate_lattice(LatticeSpec(kind="grid", rows=3, cols=4)), path_graph(),
+                       SMALL_PLAIN, TrainConfig(), fractions=(0.85, 0.1, 0.05))
+
+
 def test_transfer_probe_empty_extra_changes_nothing():
     target = lattice("grid", 6, 6)
     extra = Graph.from_edges(8, [])
