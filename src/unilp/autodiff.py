@@ -241,12 +241,14 @@ class Tape:
         if x.values.ndim == 0 or x.values.shape[-1] == 0:
             raise ConfigError(f"softmax expects a non-empty last axis, got shape {x.shape}")
         # sorting and summing along a C-contiguous last axis gives every row
-        # the summation order of the 1-D case
-        xv = np.ascontiguousarray(x.values)
-        e = np.exp(xv - xv.max(axis=-1, keepdims=True))
+        # the summation order of the 1-D case; one copy, then every step in
+        # place, as each fresh block of a large input is faulted in anew
+        out = np.array(x.values, order="C")
+        out -= out.max(axis=-1, keepdims=True)
+        np.exp(out, out=out)
         # canonical (sorted) summation: permuting the inputs permutes the
         # outputs bit-exactly, which downstream invariance checks rely on
-        out = e / np.sort(e, axis=-1).sum(axis=-1, keepdims=True)
+        out /= np.sort(out, axis=-1).sum(axis=-1, keepdims=True)
         return self._emit(out, ((x, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))),), "softmax")
 
     def key_scores(self, query_key: Tensor, context_key: Tensor, vec: Tensor, slope: float) -> Tensor:
@@ -302,7 +304,7 @@ class Tape:
             np.maximum(zt, act, out=act)
             if needs:
                 np.maximum(zt > 0, slope, out=factor[lo:hi])
-            out[lo:hi] = np.einsum("...k,...k->...", act.reshape(hi - lo, m, heads, k), vv)
+            np.einsum("...k,...k->...", act.reshape(hi - lo, m, heads, k), vv, out=out[lo:hi])
 
         def gz(g):
             # the gradient at z, shared by both keys; recomputed per key, as

@@ -20,6 +20,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -436,19 +437,27 @@ class DataSplit:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DataSplit":
+        # each pair field is checked and made canonical as one int64 array
         try:
-            id_map = tuple(int(x) for x in doc["id_map"])
-            fields = {
-                key: tuple(canonical_pair(u, v) for u, v in doc[key])
-                for key in ("observed", "valid_pos", "valid_neg", "test_pos", "test_neg")
-            }
+            id_map = tuple(map(int, doc["id_map"]))
+            fields = {}
+            for key in ("observed", "valid_pos", "valid_neg", "test_pos", "test_neg"):
+                if (np.fromiter(map(len, doc[key]), dtype=np.int64, count=len(doc[key])) != 2).any():
+                    raise ValueError(f"{key} must hold (u, v) pairs")
+                pairs = np.fromiter(chain.from_iterable(doc[key]), dtype=np.int64, count=2 * len(doc[key]))
+                fields[key] = pairs = np.sort(pairs.reshape(-1, 2), axis=1)
+                if (pairs[:, 0] == pairs[:, 1]).any():
+                    raise ValueError(f"node pair must have two distinct endpoints, got "
+                                     f"{tuple(pairs[pairs[:, 0] == pairs[:, 1]][0].tolist())}")
             seed = int(doc["seed"])
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed split document: {exc}")
         for key, pairs in fields.items():
-            bad = [p for p in pairs if p[0] < 0 or p[1] >= len(id_map)]
-            if bad:
-                raise DataError(f"{key} pair {bad[0]} out of range for {len(id_map)} nodes")
+            bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= len(id_map))
+            if bad.any():
+                raise DataError(f"{key} pair {tuple(pairs[bad.argmax()].tolist())} out of range "
+                                f"for {len(id_map)} nodes")
+            fields[key] = tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
         return cls(seed=seed, node_count=len(id_map), id_map=id_map, **fields)
 
     def save(self, path):

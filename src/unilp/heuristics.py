@@ -77,7 +77,9 @@ def _hops(g: Graph, source: int, targets: np.ndarray, seen: np.ndarray) -> np.nd
     while pending.any() and len(frontier):
         level += 1
         _, reached = _gather_rows(g, frontier)
-        frontier = np.unique(reached[~seen[reached]])
+        # sorted, repeats masked: np.unique would hash, which is slower
+        frontier = np.sort(reached[~seen[reached]])
+        frontier = np.concatenate((frontier[:1], frontier[1:][frontier[1:] != frontier[:-1]]))
         seen[frontier] = True
         visited.append(frontier)
         hit = pending & seen[targets]

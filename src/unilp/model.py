@@ -1,9 +1,9 @@
 """Link predictor with in-context adaptation.
 
 Every candidate link becomes a labeled ego subgraph (see labeling). A shared
-message-passing encoder maps subgraphs to vectors; its first layer runs on
-the label vocabulary table (122 rows by default), and each node picks its
-own and its neighbors' rows of the result. In "icl" mode the query
+mean-aggregation encoder maps subgraphs to vectors with one row per distinct
+Weisfeiler-Lehman colour of a batch and layer, not per node; its first layer
+runs on the label vocabulary table (122 rows by default). In "icl" mode the query
 vector attends over encoded context links, sampled from the observed graph
 with known labels; attention looks only at structure (the query/context
 embeddings), while the label of each context member enters additively just
@@ -164,63 +164,80 @@ def init_params(config: ModelConfig, seed: int) -> dict:
 # encoder
 
 
-def _assemble_batch(subs, vocab: LabelVocab):
-    """Stack subgraphs into one disjoint block: label indices, the constant
-    neighbor-mean operator over nodes, the same operator over label slots,
-    and the constant per-subgraph mean-pool operator.
+def _count_operator(rows, cols, denom, shape):
+    """CSR operator with count / denom[row] at each distinct (row, col) of
+    multiplicity count; columns ascend, so a row sums in column order."""
+    code, count = np.unique(rows * shape[1] + cols, return_counts=True)
+    rows, cols = np.divmod(code, shape[1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((count / denom[rows], cols, indptr), shape=shape)
 
-    Built with array operations from the subgraphs' label tuples and
-    adjacency rows, each streamed into one array by np.fromiter; row i of
-    the neighbor-mean operator holds 1/deg(i) at each neighbor's column
-    (isolated nodes keep an all-zero row), row s of the pool operator 1/n_s
-    at each node of subgraph s. The label-slot operator (N, vocab size) has
-    the neighbor-mean operator's rows with column j replaced by idx[j], so
-    its rows may repeat a column, and it applied to a per-label table equals
-    the neighbor-mean operator applied to that table's gathered rows."""
+
+def _refine(colour, deg, groups, owner, nbrs, n_colours):
+    """One round of colour refinement: a node's new colour is the rank of
+    its key (degree, colour, sorted neighbour colours) among the batch's
+    keys, built per degree group at its own length. Returns the new colours,
+    each one's old colour and the neighbour-mean operator between the two."""
+    new, count = np.empty_like(colour), 0
+    for group, rows in groups:
+        keys = np.column_stack((colour[group], np.sort(colour[rows], axis=1)))
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        new[group[order]] = count + np.cumsum(first) - 1
+        count += int(first.sum())
+    # a colour's nodes share old colour, degree and neighbour multiset, so over
+    # all entries count / (size * degree) is multiplicity / degree, rounded alike
+    parent, width = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    parent[new], width[new] = colour, deg
+    agg = _count_operator(new[owner], colour[nbrs], np.bincount(new) * width, (count, n_colours))
+    return new, parent, agg
+
+
+def _gemm(tape: Tape, x: Tensor, w: Tensor) -> Tensor:
+    """x @ w by gemm: numpy would multiply a lone row by gemv, which sums in
+    another order, so a lone row goes in as the first of two."""
+    if x.shape[0] > 1:
+        return tape.matmul(x, w)
+    return tape.take_rows(tape.matmul(tape.take_rows(x, [0, 0]), w), [0])
+
+
+def encode_subgraphs(params: dict, config: ModelConfig, subs, tape: Tape) -> Tensor:
+    """Encode a list of labeled subgraphs; returns an (len(subs), F) tensor.
+
+    Mean aggregation gives all nodes of one Weisfeiler-Lehman colour one
+    state, so layer k runs once per depth-(k + 1) colour of the batch. Depth
+    0 is the label's vocabulary index (layer 0 acts on embed.table); a
+    colour's own term is its parent colour's row, its neighbour term a
+    count-weighted mean over colours, and the pool weighs subgraph s's
+    colours by count / n_s. Colour ids rank sorted keys, so every sum runs
+    in an order the keys set, and a subgraph's row is the same in any batch.
+    """
     if not subs:
         raise ConfigError("cannot encode an empty list of subgraphs")
     sizes = np.fromiter((sub.n for sub in subs), dtype=np.int64, count=len(subs))
     total = int(sizes.sum())
     labels = np.fromiter(chain.from_iterable(chain.from_iterable(sub.labels for sub in subs)),
                          dtype=np.int64, count=2 * total).reshape(total, 2)
-    idx = vocab.indices(labels[:, 0], labels[:, 1])
+    colour = config.vocab.indices(labels[:, 0], labels[:, 1])
     deg = np.fromiter(map(len, chain.from_iterable(sub.adj for sub in subs)), dtype=np.int64,
                       count=total)
-    n_cols = int(deg.sum())
-    columns = np.fromiter(chain.from_iterable(chain.from_iterable(sub.adj for sub in subs)),
-                          dtype=np.int64, count=n_cols)
-    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cols = columns + np.repeat(offsets, deg)
-    weights = np.repeat(1.0 / np.maximum(deg, 1), deg)  # isolated rows repeat 0 times
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    agg = sp.csr_matrix((weights, cols, indptr), shape=(total, total))
-    labels_agg = sp.csr_matrix((weights, idx[cols], indptr), shape=(total, vocab.size))
-    pool = sp.csr_matrix(
-        (np.repeat(1.0 / sizes, sizes), np.arange(total), np.concatenate(([0], np.cumsum(sizes)))),
-        shape=(len(subs), total),
-    )
-    return idx, agg, labels_agg, pool
-
-
-def encode_subgraphs(params: dict, config: ModelConfig, subs, tape: Tape) -> Tensor:
-    """Encode a list of labeled subgraphs; returns an (len(subs), F) tensor.
-
-    A node's layer-0 input is its label's row of embed.table, so layer 0
-    multiplies the vocabulary-sized table, not the N gathered rows: a node's
-    own term is its label's row of table @ enc.0.self, its neighbor mean the
-    label-slot operator applied to table @ enc.0.neigh. Later layers act on
-    the (N, F) node states.
-    """
-    idx, agg, labels_agg, pool = _assemble_batch(subs, config.vocab)
-    table = params["embed.table"]
-    own = tape.take_rows(tape.matmul(table, params["enc.0.self"]), idx)
-    nbr = tape.spmm(labels_agg, tape.matmul(table, params["enc.0.neigh"]))
-    h = tape.leaky_relu(tape.add(own, nbr), config.leaky_slope)
-    for layer in range(1, config.encoder_layers):
-        own = tape.matmul(h, params[f"enc.{layer}.self"])
-        nbr = tape.matmul(tape.spmm(agg, h), params[f"enc.{layer}.neigh"])
+    nbrs = np.fromiter(chain.from_iterable(chain.from_iterable(sub.adj for sub in subs)),
+                       dtype=np.int64, count=int(deg.sum()))
+    owner = np.repeat(np.arange(total), deg)
+    nbrs += np.repeat(np.cumsum(sizes) - sizes, sizes)[owner]
+    by_deg, starts = np.argsort(deg, kind="stable"), np.cumsum(deg) - deg
+    groups = [(group, nbrs[starts[group, None] + np.arange(deg[group[0]])])
+              for group in np.split(by_deg, np.flatnonzero(np.diff(deg[by_deg])) + 1)]
+    h = params["embed.table"]
+    for layer in range(config.encoder_layers):
+        colour, parent, agg = _refine(colour, deg, groups, owner, nbrs, h.shape[0])
+        own = tape.take_rows(_gemm(tape, h, params[f"enc.{layer}.self"]), parent)
+        nbr = tape.spmm(agg, _gemm(tape, h, params[f"enc.{layer}.neigh"]))
         h = tape.leaky_relu(tape.add(own, nbr), config.leaky_slope)
-    return tape.spmm(pool, h)
+    owner = np.repeat(np.arange(len(subs)), sizes)
+    return tape.spmm(_count_operator(owner, colour, sizes, (len(subs), h.shape[0])), h)
 
 
 # ---------------------------------------------------------------------------

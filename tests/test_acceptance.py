@@ -229,32 +229,35 @@ def _anchored_pattern_pairs(g: Graph):
     return a2_only, a3_only
 
 
-@pytest.fixture(scope="module")
-def pattern_switch_runs():
+def _pattern_switch_run(seed: int) -> dict:
+    """One seed of the shared criterion 5 and 6 pretraining run (also
+    imported by tests/seed_sweep.py)."""
     grid = _lattice("grid", 10, 10)
     tri = _lattice("triangular", 10, 10)
     query = LinkDataset.whole_graph("query-grid", grid)
     a2, a3 = _anchored_pattern_pairs(grid)
-    runs = []
-    for seed in C5_SEEDS:
-        ds_grid = LinkDataset.from_graph("grid", grid,
-                                         seed=derive_seed_int(seed, "split", "grid"))
-        ds_tri = LinkDataset.from_graph("tri", tri,
-                                        seed=derive_seed_int(seed, "split", "tri"))
-        tc = dataclasses.replace(C5_TRAIN, seed=seed)
-        t0 = time.time()
-        params, _record = pretrain([ds_grid, ds_tri], [ds_grid, ds_tri], C5_CONFIG, tc)
-        train_s = time.time() - t0
-        means = {}
-        for name, ds in (("tri", ds_tri), ("grid", ds_grid)):
-            ctx = eval_context_for(ds, C5_CONFIG, C5_EVAL_SIDE,
-                                   derive_seed_int(seed, "c5-ctx", name))
-            scores = score_pairs(params, C5_CONFIG, query, a2 + a3, ctx)
-            means[name] = (float(np.mean(scores[: len(a2)])),
-                           float(np.mean(scores[len(a2):])))
-        runs.append(dict(seed=seed, params=params, ds_grid=ds_grid, ds_tri=ds_tri,
-                         means=means, train_s=train_s))
-    return runs
+    ds_grid = LinkDataset.from_graph("grid", grid,
+                                     seed=derive_seed_int(seed, "split", "grid"))
+    ds_tri = LinkDataset.from_graph("tri", tri,
+                                    seed=derive_seed_int(seed, "split", "tri"))
+    tc = dataclasses.replace(C5_TRAIN, seed=seed)
+    t0 = time.time()
+    params, record = pretrain([ds_grid, ds_tri], [ds_grid, ds_tri], C5_CONFIG, tc)
+    train_s = time.time() - t0
+    means = {}
+    for name, ds in (("tri", ds_tri), ("grid", ds_grid)):
+        ctx = eval_context_for(ds, C5_CONFIG, C5_EVAL_SIDE,
+                               derive_seed_int(seed, "c5-ctx", name))
+        scores = score_pairs(params, C5_CONFIG, query, a2 + a3, ctx)
+        means[name] = (float(np.mean(scores[: len(a2)])),
+                       float(np.mean(scores[len(a2):])))
+    return dict(seed=seed, params=params, ds_grid=ds_grid, ds_tri=ds_tri,
+                means=means, train_s=train_s, record=record)
+
+
+@pytest.fixture(scope="module")
+def pattern_switch_runs():
+    return [_pattern_switch_run(seed) for seed in C5_SEEDS]
 
 
 def test_criterion_5_pattern_switch(pattern_switch_runs):
@@ -275,19 +278,25 @@ def test_criterion_5_pattern_switch(pattern_switch_runs):
     assert total_train < 1800.0
 
 
+def _flip_hits(run: dict) -> list:
+    """Criterion 6's (graph, base Hits@10, flipped Hits@10) for one run."""
+    per_ds = []
+    for name, ds in (("grid", run["ds_grid"]), ("tri", run["ds_tri"])):
+        base = evaluate_model(run["params"], C5_CONFIG, ds, context_size=40,
+                              ratio=0.5, seeds=(run["seed"],), hits_k=10).rows[0]["value"]
+        flip = evaluate_model(run["params"], C5_CONFIG, ds, context_size=40,
+                              ratio=0.5, seeds=(run["seed"],), perturb=FLIP_LABEL,
+                              hits_k=10).rows[0]["value"]
+        per_ds.append((name, base, flip))
+    return per_ds
+
+
 def test_criterion_6_flip_degradation(pattern_switch_runs):
     good = 0
     details = []
     for r in pattern_switch_runs:
         seed = r["seed"]
-        per_ds = []
-        for name, ds in (("grid", r["ds_grid"]), ("tri", r["ds_tri"])):
-            base = evaluate_model(r["params"], C5_CONFIG, ds, context_size=40,
-                                  ratio=0.5, seeds=(seed,), hits_k=10).rows[0]["value"]
-            flip = evaluate_model(r["params"], C5_CONFIG, ds, context_size=40,
-                                  ratio=0.5, seeds=(seed,), perturb=FLIP_LABEL,
-                                  hits_k=10).rows[0]["value"]
-            per_ds.append((name, base, flip))
+        per_ds = _flip_hits(r)
         hit = all(flip <= 0.5 * base for _, base, flip in per_ds)
         good += hit
         details.append(f"seed {seed}: " + " ".join(
@@ -302,19 +311,25 @@ def test_criterion_6_flip_degradation(pattern_switch_runs):
 # --------------------------------------------------------------------------
 
 
+C7_CONFIG = ModelConfig(hidden_dim=24, attention_dim=24, embed_dim=24,
+                        encoder_layers=2, mlp_layers=2, mlp_hidden=24,
+                        mode=MODE_NO_CONTEXT)
+C7_TRAIN = TrainConfig(seed=0, context_k=4, eval_context_size=8, batch_size=32,
+                       lr=1e-3, max_epochs=60, patience=10, per_graph_cap=600,
+                       hits_k=5)
+
+
+def _transfer_delta(seed: int) -> float:
+    """Criterion 7's transfer delta for one seed."""
+    return transfer_probe(_lattice("grid", 10, 10), _lattice("triangular", 10, 10),
+                          C7_CONFIG, C7_TRAIN, seed=seed).delta
+
+
 def test_criterion_7_negative_transfer():
-    cfg = ModelConfig(hidden_dim=24, attention_dim=24, embed_dim=24,
-                      encoder_layers=2, mlp_layers=2, mlp_hidden=24,
-                      mode=MODE_NO_CONTEXT)
-    tc = TrainConfig(seed=0, context_k=4, eval_context_size=8, batch_size=32,
-                     lr=1e-3, max_epochs=60, patience=10, per_graph_cap=600,
-                     hits_k=5)
-    grid = _lattice("grid", 10, 10)
-    tri = _lattice("triangular", 10, 10)
     t0 = time.time()
     deltas = []
     for seed in range(5):
-        deltas.append(transfer_probe(grid, tri, cfg, tc, seed=seed).delta)
+        deltas.append(_transfer_delta(seed))
     elapsed = time.time() - t0
     mean_delta = float(np.mean(deltas))
     ok = mean_delta < 0.0 and elapsed < 1800.0

@@ -304,6 +304,20 @@ def test_score_pairs_encodes_and_scores_each_distinct_query_content_once(monkeyp
     assert scores.tobytes() == np.array(alone).tobytes()
 
 
+def test_score_pairs_with_two_jobs_equals_one_job_bitwise_at_three_layers():
+    from unilp.evaluation import SCORE_CHUNK
+
+    cfg = ModelConfig(hidden_dim=16, attention_dim=16, embed_dim=16, encoder_layers=3,
+                      mlp_layers=2, mlp_hidden=16, heads=2)
+    ds = LinkDataset.from_graph("tri", lattice("triangular", 10, 10), seed=1)
+    params = init_params(cfg, seed=2)
+    ctx = sample_context(ds, k=6, seed=3)
+    pairs = list(ds.split.test_pos) + list(ds.split.test_neg) + list(ds.split.observed)[:80]
+    assert len(pairs) > 2 * SCORE_CHUNK  # three chunks or more over two workers
+    serial = score_pairs(params, cfg, ds, pairs, ctx, jobs=1)
+    assert score_pairs(params, cfg, ds, pairs, ctx, jobs=2).tobytes() == serial.tobytes()
+
+
 def test_score_pairs_canonicalizes_and_validates(tri_dataset):
     params = init_params(SMALL_PLAIN, seed=0)
     fwd = score_pairs(params, SMALL_PLAIN, tri_dataset, [(0, 1), (2, 5)])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -184,6 +185,14 @@ def test_large_triangular_torus_and_its_split():
     sizes = len(split.observed), len(split.valid_pos), len(split.test_pos)
     assert sizes == (189_000, 27_000, 54_000)
     assert list(split.observed) == sorted(split.observed)
+
+
+def test_large_split_round_trips_through_its_json_document():
+    split = split_edges(lattice("triangular", 300, 300, torus=True), (0.7, 0.1, 0.2), seed=0)
+    again = DataSplit.from_json_dict(json.loads(json.dumps(split.to_json_dict())))
+    assert again == split
+    assert type(again.observed) is tuple and type(again.observed[0]) is tuple
+    assert all(type(x) is int for x in again.test_neg[0] + again.id_map[:3])
 
 
 def test_grid_is_degree_4_on_torus():
@@ -587,6 +596,24 @@ def test_datasplit_rejects_malformed_documents():
             "seed": "x", "id_map": [0, 1], "observed": [], "valid_pos": [],
             "valid_neg": [], "test_pos": [], "test_neg": [],
         })
+    good = {"seed": 0, "id_map": list(range(8)), "observed": [[1, 0], [2, 1]], "valid_pos": [],
+            "valid_neg": [], "test_pos": [[3, 4]], "test_neg": [[7, 2]]}
+    assert DataSplit.from_json_dict(good).observed == ((0, 1), (1, 2))
+    # each message names the field and the first bad pair, canonical
+    for change, message in (
+        ({"test_pos": [[3, 4], [9, 0], [8, 1]]}, "test_pos pair (0, 9) out of range for 8 nodes"),
+        ({"valid_neg": [[5, -1]]}, "valid_neg pair (-1, 5) out of range for 8 nodes"),
+        ({"test_neg": [[1, 2], [3, 3]]},
+         "malformed split document: node pair must have two distinct endpoints, got (3, 3)"),
+        ({"observed": [[0, 1, 2]]}, "malformed split document: observed must hold (u, v) pairs"),
+        ({"observed": [[[0, 1]]]}, "malformed split document: observed must hold (u, v) pairs"),
+        ({"test_pos": [[0, "a"]]}, "malformed split document"),
+        ({"test_pos": [[0, 2**70]]}, "malformed split document"),
+        ({"observed": None}, "malformed split document"),
+    ):
+        with pytest.raises(DataError) as caught:
+            DataSplit.from_json_dict({**good, **change})
+        assert str(caught.value).startswith(message), str(caught.value)
 
 
 def test_observed_graph_keeps_isolated_nodes():

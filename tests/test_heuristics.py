@@ -5,6 +5,7 @@ import pytest
 
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, SbmSpec, canonical_pair, generate_lattice, generate_sbm
+import unilp.heuristics as heuristics
 from unilp.heuristics import KINDS, Heuristic, score, score_batch
 from unilp.rng import derive_rng
 
@@ -95,6 +96,45 @@ def test_score_batch_equals_reference_bitwise(name):
             assert got.tobytes() == want.tobytes(), (name, i, kind)
     if name == "two-parts":
         assert list(score_batch(Heuristic("sp"), g, [(0, 5), (3, 4), (0, 3)])) == [-math.inf, -math.inf, -2.0]
+
+
+def hops_with_unique(g, source, targets, seen):
+    """The shortest-path BFS with each frontier deduplicated by np.unique,
+    the form the sort-and-mask deduplication replaced."""
+    hops = np.full(len(targets), math.inf)
+    frontier = np.array([source], dtype=np.int64)
+    seen[source] = True
+    visited = [frontier]
+    level = 0
+    pending = np.ones(len(targets), dtype=bool)
+    while pending.any() and len(frontier):
+        level += 1
+        _, reached = heuristics._gather_rows(g, frontier)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+        visited.append(frontier)
+        hit = pending & seen[targets]
+        hops[hit] = level
+        pending &= ~hit
+    seen[np.concatenate(visited)] = False
+    return hops
+
+
+def test_sp_scores_equal_the_unique_frontier_form_bitwise(monkeypatch):
+    torus = generate_lattice(LatticeSpec(kind="triangular", rows=150, cols=150, torus=True))
+    graphs = [torus] + [random_graph(80, p, seed) for seed, p in enumerate((0.02, 0.05, 0.2))]
+    unreachable = 0
+    for g in graphs:
+        rng = derive_rng(g.n, "test-sp-frontier")
+        anchors = rng.choice(g.n, size=3, replace=False).tolist()
+        pairs = [(a, b) for a in anchors for b in range(g.n) if b != a]
+        got = score_batch(Heuristic("sp"), g, pairs)
+        with monkeypatch.context() as patch:
+            patch.setattr(heuristics, "_hops", hops_with_unique)
+            want = score_batch(Heuristic("sp"), g, pairs)
+        assert got.tobytes() == want.tobytes(), g.n
+        unreachable += int(np.isinf(got).sum())
+    assert unreachable  # the sparse random graphs are disconnected
 
 
 def test_empty_batch():

@@ -7,10 +7,9 @@ import scipy.sparse as sp
 from unilp.autodiff import PROB_EPS, Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.labeling import LabeledSubgraph, LabelVocab, labeled_subgraph
+from unilp.labeling import LabeledSubgraph, labeled_subgraph
 from unilp.model import (
     ContextSet,
-    _assemble_batch,
     GRADCHECK_CONFIG,
     ModelConfig,
     attention_scores,
@@ -139,12 +138,11 @@ def test_batched_encoding_matches_and_is_row_independent(params, dataset):
 
 
 def reference_assemble_batch(subs, vocab):
-    """The per-node loop over labels and adjacency that _assemble_batch's
-    array form must reproduce exactly. The label-slot operator is built
-    from its CSR arrays, row by row in adjacency order, so a row keeps
-    repeated label columns as separate entries."""
+    """The node-level operators of a batch, built by a per-node loop over
+    labels and adjacency: label indices, the neighbour-mean operator over
+    nodes (1/deg(i) at each neighbour of i) and the per-subgraph mean-pool
+    operator (1/n_s at each node of s)."""
     idx, a_r, a_c, a_d, p_r, p_c, p_d = [], [], [], [], [], [], []
-    l_ptr, l_col, l_d = [0], [], []
     offset = 0
     for s, sub in enumerate(subs):
         idx.extend(vocab.index(t) for t in sub.labels)
@@ -153,53 +151,108 @@ def reference_assemble_batch(subs, vocab):
                 a_r.append(offset + i)
                 a_c.append(offset + j)
                 a_d.append(1.0 / len(sub.adj[i]))
-                l_col.append(vocab.index(sub.labels[j]))
-                l_d.append(1.0 / len(sub.adj[i]))
-            l_ptr.append(len(l_col))
             p_r.append(s)
             p_c.append(offset + i)
             p_d.append(1.0 / sub.n)
         offset += sub.n
     agg = sp.csr_matrix((a_d, (a_r, a_c)), shape=(offset, offset))
-    labels_agg = sp.csr_matrix(
-        (np.array(l_d), np.array(l_col, dtype=np.int64), np.array(l_ptr, dtype=np.int64)),
-        shape=(offset, vocab.size),
-    )
     pool = sp.csr_matrix((p_d, (p_r, p_c)), shape=(len(subs), offset))
-    return np.array(idx, dtype=np.int64), agg, labels_agg, pool
+    return np.array(idx, dtype=np.int64), agg, pool
 
 
-def test_assemble_batch_matches_per_node_loop(dataset):
-    isolated = labeled_subgraph(Graph.from_edges(4, [(0, 1), (2, 3)]), (0, 1), radius=1)
-    path = Graph.from_edges(12, [(i, i + 1) for i in range(11)])
-    deep = labeled_subgraph(path, (0, 11), radius=4)  # one-sided distances up to 4
-    wide = labeled_subgraph(triangular(), (0, 27), radius=3)  # drnl labels up to 10
+def reference_colour_counts(subs, vocab, depth):
+    """Distinct Weisfeiler-Lehman colours of a batch's nodes at depths 1 to
+    depth, refined by a per-node loop: a node's next colour is its colour
+    with the sorted colours of its neighbours."""
+    colours = [vocab.index(t) for sub in subs for t in sub.labels]
+    adj, offset = [], 0
+    for sub in subs:
+        adj.extend([offset + j for j in row] for row in sub.adj)
+        offset += sub.n
+    counts = []
+    for _ in range(depth):
+        keys = [(colours[i], tuple(sorted(colours[j] for j in adj[i]))) for i in range(offset)]
+        ids = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        colours = [ids[key] for key in keys]
+        counts.append(len(ids))
+    return counts
+
+
+def mixed_batch(dataset):
+    """Torus queries and context members, an isolated pair, a deep path
+    pair, a wide torus pair, and a star's centre with one of its 2,000
+    leaves, so one node has degree 1,999."""
     ctx = sample_context(dataset, 5, seed=3)
-    members = list(ctx.positives) + list(ctx.negatives)
-    batches = [[isolated], [deep], [wide], [isolated, deep, wide] + members, members[:1]]
-    for vocab in (LabelVocab(), LabelVocab(drnl_cap=3, dist_cap=2)):
-        for subs in batches:
-            want_idx, *want_ops = reference_assemble_batch(subs, vocab)
-            idx, *ops = _assemble_batch(subs, vocab)
-            assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
-            for got, want in zip(ops, want_ops, strict=True):
-                assert got.shape == want.shape
-                for part in ("indptr", "indices", "data"):
-                    a, b = getattr(got, part), getattr(want, part)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), part
-    assert max(wide.labels)[0] > 3 and max(deep.labels, key=lambda t: t[1])[1] > 2
-    # some node has two neighbours with one label: a repeated column
-    labels_agg = _assemble_batch([wide], LabelVocab())[2]
-    rows = np.split(labels_agg.indices, labels_agg.indptr[1:-1])
-    assert any(len(set(row)) < len(row) for row in rows)
+    queries = [dataset.subgraph(e, SMALL) for e in dataset.observed.edge_array().tolist()[:8]]
+    path = Graph.from_edges(12, [(i, i + 1) for i in range(11)])
+    star = Graph.from_edges(2001, [(0, i) for i in range(1, 2001)])
+    return queries + list(ctx.positives) + list(ctx.negatives) + [
+        labeled_subgraph(Graph.from_edges(4, [(0, 1), (2, 3)]), (0, 1), radius=1),
+        labeled_subgraph(path, (0, 11), radius=4),
+        labeled_subgraph(triangular(), (0, 27), radius=3),
+        labeled_subgraph(star, (0, 1), radius=1),
+    ]
+
+
+def test_each_layer_runs_once_per_distinct_colour(dataset, monkeypatch):
+    subs = mixed_batch(dataset)
+    layer_rows = []
+    original = Tape.leaky_relu
+
+    def spy(self, x, slope=0.01):
+        layer_rows.append(x.shape[0])
+        return original(self, x, slope)
+
+    monkeypatch.setattr(Tape, "leaky_relu", spy)
+    for layers in (1, 2, 3):
+        cfg = dataclasses.replace(SMALL, encoder_layers=layers)
+        for batch in (subs, subs[:3], subs[-4:-3], subs[-1:]):
+            layer_rows.clear()
+            h = encode_subgraphs(init_params(cfg, 0), cfg, batch, Tape())
+            assert h.shape == (len(batch), cfg.hidden_dim)
+            assert layer_rows == reference_colour_counts(batch, cfg.vocab, layers), (layers, len(batch))
+    # the star alone: its centre, its isolated leaf target and 1,999 other leaves
+    assert layer_rows == [3, 3, 3]
+    layer_rows.clear()
+    encode_subgraphs(init_params(SMALL, 0), SMALL, subs, Tape())
+    assert max(layer_rows) < sum(sub.n for sub in subs) / 10
+
+
+def test_colour_keys_hold_one_entry_per_node_and_adjacency_entry(dataset, monkeypatch):
+    # keys grouped by degree, not padded to the star's degree of 1,999
+    subs = mixed_batch(dataset)
+    sizes = []
+    original = model_module._refine
+
+    def spy(colour, deg, groups, *rest):
+        sizes.append(sum(group.size + rows.size for group, rows in groups))
+        return original(colour, deg, groups, *rest)
+
+    monkeypatch.setattr(model_module, "_refine", spy)
+    encode_subgraphs(init_params(SMALL, 0), SMALL, subs, Tape())
+    assert sizes == [sum(sub.n + sum(map(len, sub.adj)) for sub in subs)] * SMALL.encoder_layers
+
+
+def test_colour_rows_are_bitwise_equal_in_any_batch(dataset):
+    subs = mixed_batch(dataset)
+    for layers in (1, 3):
+        cfg = dataclasses.replace(SMALL, encoder_layers=layers)
+        params = init_params(cfg, layers)
+        full = encode_subgraphs(params, cfg, subs, Tape()).values
+        for i, sub in enumerate(subs):
+            assert np.array_equal(encode_subgraphs(params, cfg, [sub], Tape()).values[0], full[i]), i
+        for trial in range(3):
+            picks = derive_rng(trial, "test-colour-batch").permutation(len(subs))[:len(subs) // 2 + trial]
+            h = encode_subgraphs(params, cfg, [subs[i] for i in picks], Tape()).values
+            assert np.array_equal(h, full[picks]), (layers, trial)
 
 
 def reference_encode(params, cfg, subs, tape):
     """The gathered form of the encoder: every node's label row is gathered
     from embed.table, and each layer, the first included, multiplies the
     (N, width) node block. encode_subgraphs must reproduce it up to the
-    summation order of layer 0's neighbour mean."""
-    idx, agg, _, pool = reference_assemble_batch(subs, cfg.vocab)
+    summation order of its neighbour means and its pool."""
+    idx, agg, pool = reference_assemble_batch(subs, cfg.vocab)
     h = tape.take_rows(params["embed.table"], idx)
     for layer in range(cfg.encoder_layers):
         own = tape.matmul(h, params[f"enc.{layer}.self"])
@@ -236,13 +289,14 @@ def test_encoder_matches_gathered_reference(dataset, monkeypatch):
             assert gap <= 1e-9 * np.abs(want).max(), (cfg.encoder_layers, name, gap)
 
 
-def test_assemble_batch_rejects_empty_and_malformed(dataset):
+def test_encode_subgraphs_rejects_empty_and_malformed(dataset, params):
     sub = sample_context(dataset, 1, seed=0).positives[0]
-    with pytest.raises(ConfigError):
-        _assemble_batch([], LabelVocab())
-    bad = dataclasses.replace(sub, labels=((1, 1),) + sub.labels[1:])
-    with pytest.raises(ConfigError, match="malformed label"):
-        _assemble_batch([sub, bad], LabelVocab())
+    with pytest.raises(ConfigError, match="empty list"):
+        encode_subgraphs(params, SMALL, [], Tape())
+    for label in ((1, 1), (-1, 0), (0, -2)):
+        bad = dataclasses.replace(sub, labels=(label,) + sub.labels[1:])
+        with pytest.raises(ConfigError, match="malformed label"):
+            encode_subgraphs(params, SMALL, [sub, bad], Tape())
 
 
 def test_isolated_targets_encode_without_error(params):
