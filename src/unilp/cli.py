@@ -44,7 +44,7 @@ from .graphs import (
 )
 from .heuristics import KINDS as HEURISTIC_KINDS, Heuristic, score_batch
 from .labeling import labeled_subgraph
-from .model import GRADCHECK_CONFIG, MODE_NO_CONTEXT, ModelConfig, model_gradient_check
+from .model import GRADCHECK_CONFIG, MODE_NO_CONTEXT, ModelConfig, init_params, model_gradient_check
 from .training import LinkDataset, TrainConfig, finetune, pretrain, transfer_probe
 
 log = logging.getLogger("unilp")
@@ -237,8 +237,21 @@ def _cmd_pretrain(args):
 
 
 def _load_model_checkpoint(path):
+    """The checkpoint's model config and parameters, after checking that it
+    holds exactly the parameters that config's model has, in their shapes."""
     config_doc, params = load_checkpoint(path)
-    return ModelConfig.from_dict(config_doc.get("model", {})), params
+    config = ModelConfig.from_dict(config_doc.get("model", {}))
+    want = {name: t.shape for name, t in init_params(config, 0).items()}
+    for name, shape in want.items():
+        if name not in params:
+            raise DataError(f"checkpoint {path} lacks parameter {name!r}")
+        if params[name].shape != shape:
+            raise DataError(f"checkpoint {path} parameter {name!r} has shape {params[name].shape}, "
+                            f"the model config needs {shape}")
+    extra = [name for name in params if name not in want]
+    if extra:
+        raise DataError(f"checkpoint {path} has parameter {extra[0]!r}, which the model config lacks")
+    return config, params
 
 
 def _cmd_finetune(args):

@@ -8,9 +8,9 @@ Regular lattices give clean constants here, which makes them useful probes
 for whether a context-conditioned scorer actually reads its context.
 
 `score_pairs` scores queries in fixed chunks against one shared context. A
-chunk encodes and scores each distinct query content once (many pairs of a
-lattice look alike) and gathers one probability per pair, which is
-bit-identical because a query's probability does not depend on its chunk.
+chunk encodes every query, scores each distinct encoder row once (many pairs
+of a lattice look alike) and gathers one probability per pair: bit-identical,
+as a query's probability depends only on its row.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .graphs import (
     write_json_atomic,
     write_text_atomic,
 )
-from .model import (MODE_NO_CONTEXT, ContextSet, ModelConfig, distinct_contents, encode_subgraphs,
-                    predict_batch)
+from .model import MODE_NO_CONTEXT, ContextSet, ModelConfig, encode_subgraphs, predict_batch
 from .autodiff import Tape, const
 
 #: Pairs scored per chunk; fixed so parallel and serial runs agree bit-for-bit.
@@ -202,25 +201,25 @@ def _constants(param_values: dict) -> dict:
 
 
 def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
-    """Probabilities of one chunk of pairs: each distinct query content is
-    encoded and scored once, and every pair gathers its content's value."""
+    """Probabilities of one chunk of pairs: each distinct encoder row (by bit
+    pattern, so -0.0 and 0.0 stay apart) is scored once, gathered per pair."""
     tape = Tape()
-    distinct, picks = distinct_contents(dataset.subgraph(p, config) for p in pairs)
-    h_query = encode_subgraphs(params, config, distinct, tape)
+    h = encode_subgraphs(params, config, [dataset.subgraph(p, config) for p in pairs], tape).values
+    bits = np.ascontiguousarray(h).view(np.dtype((np.void, h.itemsize * h.shape[1]))).ravel()
+    _, first, picks = np.unique(bits, return_index=True, return_inverse=True)
     h_ctx = None if ctx_values is None else const(ctx_values)
-    return predict_batch(params, config, h_query, h_ctx, n_ctx_pos, tape).values[picks].tolist()
+    return predict_batch(params, config, const(h[first]), h_ctx, n_ctx_pos, tape).values[picks].tolist()
 
 
 _WORKER_STATE = {}
 
 
-def _worker_init(param_values, config_dict, split_dict, name, ctx_values, n_ctx_pos):
-    from .graphs import DataSplit
+def _worker_init(param_values, config, split, name, ctx_values, n_ctx_pos):
     from .training import LinkDataset
 
     _WORKER_STATE["params"] = _constants(param_values)
-    _WORKER_STATE["config"] = ModelConfig.from_dict(config_dict)
-    _WORKER_STATE["dataset"] = LinkDataset(name=name, split=DataSplit.from_json_dict(split_dict))
+    _WORKER_STATE["config"] = config
+    _WORKER_STATE["dataset"] = LinkDataset(name=name, split=split)
     _WORKER_STATE["ctx"] = (ctx_values, n_ctx_pos)
 
 
@@ -250,8 +249,7 @@ def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs:
         out = [s for chunk in chunks
                for s in _score_chunk(params, config, dataset, chunk, ctx_values, n_ctx_pos)]
         return np.array(out, dtype=np.float64)
-    initargs = (param_values, config.to_dict(), dataset.split.to_json_dict(), dataset.name,
-                ctx_values, n_ctx_pos)
+    initargs = (param_values, config, dataset.split, dataset.name, ctx_values, n_ctx_pos)
     with ProcessPoolExecutor(max_workers=min(jobs, len(chunks)), initializer=_worker_init,
                              initargs=initargs) as pool:
         out = [s for chunk_scores in pool.map(_worker_score, chunks) for s in chunk_scores]

@@ -439,19 +439,26 @@ class DataSplit:
     def from_json_dict(cls, doc: dict) -> "DataSplit":
         # each pair field is checked and made canonical as one int64 array
         try:
-            id_map = tuple(map(int, doc["id_map"]))
+            id_map = tuple(doc["id_map"])
+            ids = _integer_array(id_map, "id_map")
             fields = {}
             for key in ("observed", "valid_pos", "valid_neg", "test_pos", "test_neg"):
                 if (np.fromiter(map(len, doc[key]), dtype=np.int64, count=len(doc[key])) != 2).any():
                     raise ValueError(f"{key} must hold (u, v) pairs")
-                pairs = np.fromiter(chain.from_iterable(doc[key]), dtype=np.int64, count=2 * len(doc[key]))
+                pairs = _integer_array(list(chain.from_iterable(doc[key])), key)
                 fields[key] = pairs = np.sort(pairs.reshape(-1, 2), axis=1)
                 if (pairs[:, 0] == pairs[:, 1]).any():
                     raise ValueError(f"node pair must have two distinct endpoints, got "
                                      f"{tuple(pairs[pairs[:, 0] == pairs[:, 1]][0].tolist())}")
-            seed = int(doc["seed"])
+            seed = doc["seed"]
+            if type(seed) is not int:
+                raise ValueError(f"seed must be an integer, got {seed!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed split document: {exc}")
+        ids.sort()
+        repeated = ids[1:] == ids[:-1]
+        if repeated.any():
+            raise DataError(f"id_map repeats id {ids[1:][repeated][0]}")
         for key, pairs in fields.items():
             bad = (pairs[:, 0] < 0) | (pairs[:, 1] >= len(id_map))
             if bad.any():
@@ -472,6 +479,15 @@ class DataSplit:
             raise DataError(f"no such split file: {path}")
         except json.JSONDecodeError as exc:
             raise DataError(f"{path} is not a valid split file: {exc}")
+
+
+def _integer_array(values: list, what: str) -> np.ndarray:
+    """int64 array of a JSON list that holds only integers: a float such as
+    1.0 or 1.7, a bool or a string raises ValueError instead of being cast."""
+    if set(map(type, values)) - {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} must hold integers, got {bad!r}")
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 def split_edges(g: Graph, fractions: tuple, seed: int) -> DataSplit:

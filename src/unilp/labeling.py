@@ -26,12 +26,14 @@ which injectively encodes the orbit of (d_u, d_v) under swapping.
 `labeled_subgraph` is the one constructor: it extracts and labels in one
 step, so every `LabeledSubgraph` carries its labels. Its fields are plain
 tuples, which compare with `==` and sort as label tuples do. Its `content`
-key stands for what the encoder reads, (labels, adj), and lets a batch
-encode subgraphs of equal content once.
+packs all the encoder reads, labels and adj, into one bytes value: the key
+that lets a batch encode equal contents once, and the encoder's input, which
+`unpack_contents` turns into arrays. Only this module knows that layout.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,28 +93,6 @@ class LabelVocab:
         )
 
 
-class SubgraphContent:
-    """Hashable key of a subgraph's (labels, adj), the fields the encoder
-    reads. The hash is computed once (tuples do not cache theirs), and two
-    keys are equal exactly when both fields are."""
-
-    __slots__ = ("labels", "adj", "_hash")
-
-    def __init__(self, labels: tuple, adj: tuple):
-        self.labels, self.adj = labels, adj
-        self._hash = hash((labels, adj))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, SubgraphContent):
-            return NotImplemented
-        return self._hash == other._hash and self.labels == other.labels and self.adj == other.adj
-
-
 @dataclass(frozen=True)
 class LabeledSubgraph:
     """Induced, labeled ego subgraph around a target pair.
@@ -140,11 +120,35 @@ class LabeledSubgraph:
         return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
 
     @cached_property
-    def content(self) -> SubgraphContent:
-        """Content key, built on first use and kept on the object: equal
-        for subgraphs that differ only in node ids or radius, which the
-        encoder never reads."""
-        return SubgraphContent(self.labels, self.adj)
+    def content(self) -> bytes:
+        """What the encoder reads, packed by `pack_content`; built on first
+        use and kept on the object. Equal exactly when labels and adj are,
+        so subgraphs that differ only in node ids or radius share it."""
+        return pack_content(self.labels, self.adj)
+
+
+def pack_content(labels: tuple, adj: tuple) -> bytes:
+    """int64 [n, the 2n label slots, the n degrees, each row's neighbours]:
+    n splits the rest, so equal bytes mean equal labels and adj."""
+    vals = [len(adj)]
+    for label in labels:
+        vals += label
+    vals += map(len, adj)
+    for row in adj:
+        vals += row
+    return struct.pack(f"{len(vals)}q", *vals)
+
+
+def unpack_contents(contents: list) -> tuple:
+    """Sizes (S,), label slots (N, 2), degrees (N,) and local neighbour
+    indices (sum of degrees,) of S packed contents, each concatenated in
+    content order: one join, and a section code per int64 as the mask."""
+    flat = np.frombuffer(b"".join(contents), dtype=np.int64)
+    lengths = np.fromiter(map(len, contents), dtype=np.int64, count=len(contents)) // 8
+    sizes = flat[np.cumsum(lengths) - lengths]
+    parts = np.column_stack((np.ones_like(sizes), 2 * sizes, sizes, lengths - 1 - 3 * sizes))
+    section = np.repeat(np.tile(np.arange(4, dtype=np.int8), len(sizes)), parts.ravel())
+    return sizes, flat[section == 1].reshape(-1, 2), flat[section == 2], flat[section == 3]
 
 
 def _bounded_bfs(rows, first, source: int, radius: int, cap, rng) -> dict:

@@ -27,12 +27,11 @@ queries at a time, so scoring never builds the (B, m, F') key block. Every
 op is a stack whose entries make the same BLAS call and the same reduction
 a single query would, or is elementwise, so a query's probability does not
 depend on the batch it is scored in, and permuting a context permutes its
-attention weights bit for bit. A training batch (`batch_loss`) and a scored
-chunk (`evaluation.score_pairs`) each encode every distinct subgraph content
-once, keyed on `LabeledSubgraph.content` (labels and adjacency, which is all
-the encoder reads) by `distinct_contents`, and gather rows for repeats:
-equal contents give equal rows bit for bit, so forward values are those of
-encoding every use.
+attention weights bit for bit. The encoder reads a subgraph only through
+its packed `LabeledSubgraph.content` (see labeling), and a training batch
+(`batch_loss`) encodes each distinct content once, keyed on those bytes by
+`distinct_contents`, and gathers rows for repeats: equal contents give equal
+rows bit for bit, so forward values are those of encoding every use.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import scipy.sparse as sp
 from .autodiff import PROB_EPS, Tape, Tensor, check_gradients, param, xavier_uniform
 from .errors import ConfigError, check_number_fields
 from .graphs import Graph, generate_sbm, SbmSpec, sample_nonedges
-from .labeling import LabelVocab, labeled_subgraph
+from .labeling import LabelVocab, labeled_subgraph, unpack_contents
 from .rng import derive_rng
 
 MODE_ICL = "icl"
@@ -206,26 +205,20 @@ def _gemm(tape: Tape, x: Tensor, w: Tensor) -> Tensor:
 def encode_subgraphs(params: dict, config: ModelConfig, subs, tape: Tape) -> Tensor:
     """Encode a list of labeled subgraphs; returns an (len(subs), F) tensor.
 
-    Mean aggregation gives all nodes of one Weisfeiler-Lehman colour one
-    state, so layer k runs once per depth-(k + 1) colour of the batch. Depth
-    0 is the label's vocabulary index (layer 0 acts on embed.table); a
-    colour's own term is its parent colour's row, its neighbour term a
-    count-weighted mean over colours, and the pool weighs subgraph s's
-    colours by count / n_s. Colour ids rank sorted keys, so every sum runs
-    in an order the keys set, and a subgraph's row is the same in any batch.
+    It reads only each subgraph's `content`. Mean aggregation gives all
+    nodes of one Weisfeiler-Lehman colour one state, so layer k runs once
+    per depth-(k + 1) colour of the batch. Depth 0 is the label's vocabulary
+    index (layer 0 acts on embed.table); a colour's own term is its parent
+    colour's row, its neighbour term a count-weighted mean over colours, and
+    the pool weighs subgraph s's colours by count / n_s. Colour ids rank
+    sorted keys, so every sum runs in an order the keys set, and a
+    subgraph's row is the same in any batch.
     """
     if not subs:
         raise ConfigError("cannot encode an empty list of subgraphs")
-    sizes = np.fromiter((sub.n for sub in subs), dtype=np.int64, count=len(subs))
-    total = int(sizes.sum())
-    labels = np.fromiter(chain.from_iterable(chain.from_iterable(sub.labels for sub in subs)),
-                         dtype=np.int64, count=2 * total).reshape(total, 2)
+    sizes, labels, deg, nbrs = unpack_contents([sub.content for sub in subs])
     colour = config.vocab.indices(labels[:, 0], labels[:, 1])
-    deg = np.fromiter(map(len, chain.from_iterable(sub.adj for sub in subs)), dtype=np.int64,
-                      count=total)
-    nbrs = np.fromiter(chain.from_iterable(chain.from_iterable(sub.adj for sub in subs)),
-                       dtype=np.int64, count=int(deg.sum()))
-    owner = np.repeat(np.arange(total), deg)
+    owner = np.repeat(np.arange(len(deg)), deg)
     nbrs += np.repeat(np.cumsum(sizes) - sizes, sizes)[owner]
     by_deg, starts = np.argsort(deg, kind="stable"), np.cumsum(deg) - deg
     groups = [(group, nbrs[starts[group, None] + np.arange(deg[group[0]])])

@@ -304,6 +304,34 @@ def test_eval_errors(ws, tmp_path):
                      "--split", split, "--ratio", ratio]) == 1
 
 
+def test_checkpoints_whose_parameters_do_not_fit_their_config_exit_2(ws, tmp_path, capsys):
+    """A missing, mis-shaped or extra parameter is named before any scoring
+    starts, instead of failing later as a KeyError or a matmul error."""
+    from unilp.autodiff import param
+
+    split = str(ws / "tri.split.json")
+    config = {"model": SMALL_ICL.to_dict(), "seed": 0}
+    good = init_params(SMALL_ICL, seed=0)
+    for change, message in (
+        ({"attn.key": None}, "lacks parameter 'attn.key'"),
+        ({"attn.value": param(good["attn.value"].values[:, :-1])},
+         "parameter 'attn.value' has shape (8, 7), the model config needs (8, 8)"),
+        ({"enc.1.self": good["enc.0.self"]},
+         "has parameter 'enc.1.self', which the model config lacks"),
+    ):
+        params = {name: t for name, t in {**good, **change}.items() if t is not None}
+        path = tmp_path / "bad.ckpt.json"
+        save_checkpoint(path, config, params)
+        capsys.readouterr()
+        for command in (["eval"], ["sweep", "--sizes", "2,4"],
+                        ["finetune", "--n-links", "5", "--steps", "1", "--out", str(tmp_path / "out")]):
+            assert main(command + ["--checkpoint", str(path), "--split", split]) == 2, command
+            assert capsys.readouterr().err == f"data error: checkpoint {path} {message}\n"
+    save_checkpoint(tmp_path / "good.ckpt.json", config, good)
+    assert main(["eval", "--checkpoint", str(tmp_path / "good.ckpt.json"), "--split", split,
+                 "--context-size", "6", "--hits-k", "5"]) == 0
+
+
 def test_sweep_command(ws, tmp_path, capsys):
     json_out = tmp_path / "sweep.json"
     assert main(["sweep", "--checkpoint", str(ws / "icl.ckpt.json"),

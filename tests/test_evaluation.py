@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from unilp.autodiff import const
 from unilp.errors import ConfigError, DataError, NumericError
 from unilp.evaluation import (
     FLIP_LABEL,
@@ -271,7 +272,7 @@ def test_score_pairs_over_several_key_tiles_matches_pairs_alone(tri_dataset):
     assert scores.tobytes() == np.array(alone).tobytes()
 
 
-def test_score_pairs_encodes_and_scores_each_distinct_query_content_once(monkeypatch):
+def test_score_pairs_encodes_every_query_and_scores_each_distinct_row_once(monkeypatch):
     import unilp.evaluation as evaluation
     from unilp.evaluation import SCORE_CHUNK
 
@@ -282,11 +283,12 @@ def test_score_pairs_encodes_and_scores_each_distinct_query_content_once(monkeyp
     encoded, scored = [], []
 
     def encode_spy(params, config, subs, tape):
-        encoded.append(list(subs))
-        return original_encode(params, config, subs, tape)
+        h = original_encode(params, config, subs, tape)
+        encoded.append((list(subs), h.values.copy()))
+        return h
 
     def predict_spy(params, config, h_query, h_context, n_pos, tape):
-        scored.append(h_query.shape[0])
+        scored.append(h_query.values.copy())
         return original_predict(params, config, h_query, h_context, n_pos, tape)
 
     original_encode, original_predict = evaluation.encode_subgraphs, evaluation.predict_batch
@@ -295,13 +297,40 @@ def test_score_pairs_encodes_and_scores_each_distinct_query_content_once(monkeyp
     scores = score_pairs(params, SMALL_ICL, ds, pairs, ctx)
     chunks = [pairs[lo:lo + SCORE_CHUNK] for lo in range(0, len(pairs), SCORE_CHUNK)]
     # the first encoding is the context's
-    assert len(chunks) == 2 and len(encoded) == 3 and len(encoded[0]) == ctx.size
-    for chunk, subs, rows in zip(chunks, encoded[1:], scored):
-        contents = {ds.subgraph(pair, SMALL_ICL).content for pair in chunk}
-        assert len(subs) == rows == len(contents) < len(chunk)
-        assert {sub.content for sub in subs} == contents
+    assert len(chunks) == 2 and len(encoded) == 3 and len(encoded[0][0]) == ctx.size
+    for chunk, (subs, h), rows in zip(chunks, encoded[1:], scored):
+        assert all(sub is ds.subgraph(pair, SMALL_ICL) for sub, pair in zip(subs, chunk))
+        assert len(subs) == len(chunk)
+        distinct = {row.tobytes() for row in h}
+        assert {row.tobytes() for row in rows} == distinct
+        # equal contents give equal rows, and the encoder also merges some
+        # unequal contents into one row
+        assert len(rows) == len(distinct) <= len({sub.content for sub in subs}) < len(chunk)
     alone = [score_pairs(params, SMALL_ICL, ds, [pair], ctx)[0] for pair in pairs]
     assert scores.tobytes() == np.array(alone).tobytes()
+
+
+def test_score_chunk_keeps_rows_that_differ_only_in_the_sign_of_zero_apart(monkeypatch):
+    import unilp.evaluation as evaluation
+
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.5, 1.0]])
+    scored = []
+
+    def predict_stub(params, config, h_query, h_context, n_pos, tape):
+        scored.append(h_query.values.copy())
+        return const(np.signbit(h_query.values[:, 0]) + h_query.values[:, 0])
+
+    monkeypatch.setattr(evaluation, "encode_subgraphs", lambda params, config, subs, tape: const(rows))
+    monkeypatch.setattr(evaluation, "predict_batch", predict_stub)
+
+    class Pairs:
+        def subgraph(self, pair, config):
+            return pair
+
+    got = evaluation._score_chunk({}, SMALL_ICL, Pairs(), list(range(len(rows))), None, 0)
+    assert got == [0.0, 1.0, 0.0, 1.0, 0.5]
+    (h_query,) = scored
+    assert len(h_query) == 3
 
 
 def test_score_pairs_with_two_jobs_equals_one_job_bitwise_at_three_layers():

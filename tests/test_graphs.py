@@ -610,10 +610,30 @@ def test_datasplit_rejects_malformed_documents():
         ({"test_pos": [[0, "a"]]}, "malformed split document"),
         ({"test_pos": [[0, 2**70]]}, "malformed split document"),
         ({"observed": None}, "malformed split document"),
+        # a float, bool or string where an integer belongs is never cast:
+        # 1.7 is not seed 1, nor 1.5 node id 1, nor [0, 1.9] the pair (0, 1)
+        ({"seed": 1.7}, "malformed split document: seed must be an integer, got 1.7"),
+        ({"seed": 2.0}, "malformed split document: seed must be an integer, got 2.0"),
+        ({"seed": True}, "malformed split document: seed must be an integer, got True"),
+        ({"id_map": [0, 1.5, 2, 3, 4, 5, 6, 7]},
+         "malformed split document: id_map must hold integers, got 1.5"),
+        ({"id_map": [0, 1, 2, 3, 4, 5, 6, "7"]},
+         "malformed split document: id_map must hold integers, got '7'"),
+        ({"test_pos": [[3, 4], [0, 1.9]]},
+         "malformed split document: test_pos must hold integers, got 1.9"),
+        ({"observed": [[1, 0], [2.0, 1]]},
+         "malformed split document: observed must hold integers, got 2.0"),
+        ({"valid_neg": [[False, 5]]},
+         "malformed split document: valid_neg must hold integers, got False"),
+        # one original id cannot name two nodes
+        ({"id_map": [10, 11, 12, 13, 11, 15, 16, 13]}, "id_map repeats id 11"),
     ):
         with pytest.raises(DataError) as caught:
             DataSplit.from_json_dict({**good, **change})
         assert str(caught.value).startswith(message), str(caught.value)
+    # negative and unsorted original ids are fine while they are distinct
+    split = DataSplit.from_json_dict({**good, "id_map": [9, -3, 4, 0, 7, 5, 2, 1]})
+    assert split.id_map == (9, -3, 4, 0, 7, 5, 2, 1)
 
 
 def test_observed_graph_keeps_isolated_nodes():

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every name a module imports is used,
 every public tape op has a caller, only the tape's backward pass
-accumulates gradients, and no loop walks a numpy neighbour row."""
+accumulates gradients, no loop walks a numpy neighbour row, and the model
+and evaluation read a subgraph only through its packed content."""
 
 import ast
 from pathlib import Path
@@ -163,3 +164,26 @@ def test_no_loop_walks_a_numpy_neighbor_row():
         "    pass\n"
     )
     assert neighbor_row_loops(snippet) == [1, 6]
+
+
+def subgraph_field_uses(source: str) -> list:
+    """Lines that read or set an `.adj` or `.labels` attribute, the tuple fields
+    whose packed layout `labeling` alone writes and reads."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("adj", "labels"))
+
+
+def test_model_and_evaluation_read_subgraphs_only_through_their_content():
+    package = Path(unilp.__file__).parent
+    found = {name: subgraph_field_uses((package / name).read_text(encoding="utf-8"))
+             for name in ("model.py", "evaluation.py")}
+    assert found == {"model.py": [], "evaluation.py": []}
+    snippet = (
+        "rows = [sub.adj for sub in subs]\n"
+        "contents = [sub.content for sub in subs]\n"
+        "a, b = sub.labels[0]\n"
+        "adj = labels = None\n"
+        "n = len(getattr(sub, 'adj'))\n"
+        "sub.adj = ()\n"
+    )
+    assert subgraph_field_uses(snippet) == [1, 3, 6]

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from unilp.errors import ConfigError
-from unilp.graphs import Graph, LatticeSpec, SbmSpec, generate_lattice, generate_sbm, split_edges
-from unilp.labeling import LabelVocab, drnl, drnl_plus, labeled_subgraph
+from unilp.graphs import (Graph, LatticeSpec, SbmSpec, generate_lattice, generate_sbm, sample_nonedges,
+                          split_edges)
+from unilp.labeling import LabelVocab, drnl, drnl_plus, labeled_subgraph, unpack_contents
 from unilp.rng import derive_rng
 
 from oracles import reference_labeled_subgraph
@@ -306,3 +307,43 @@ def test_targets_always_first_and_pinned():
     sub = labeled_subgraph(g, (12, 3), radius=2)
     assert sub.pair == (3, 12)
     assert sub.labels[0] == sub.labels[1] == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# packed content
+
+
+def torus_and_hand_made_subgraphs() -> list:
+    """Every edge and 60 sampled non-edges of a 5x5 triangular torus at
+    radius 1 and 2, then two hand-made subgraphs whose contents have one
+    length, 32 int64s, with n = 5 and n = 7."""
+    g = generate_lattice(LatticeSpec(kind="triangular", rows=5, cols=5, torus=True))
+    pairs = g.edge_array().tolist() + sample_nonedges(g, 60, seed=0)
+    subs = [labeled_subgraph(g, pair, radius) for pair in pairs for radius in (1, 2)]
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) not in ((0, 1), (2, 3))]
+    five = labeled_subgraph(Graph.from_edges(5, k5), (0, 1), 1)
+    seven = labeled_subgraph(Graph.from_edges(7, [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6)]), (0, 1), 3)
+    assert (five.n, seven.n) == (5, 7)
+    assert len(five.content) == len(seven.content) == 32 * 8
+    return subs + [five, seven]
+
+
+def test_contents_are_equal_exactly_when_labels_and_adjacency_are():
+    subs = torus_and_hand_made_subgraphs()
+    by_content, by_fields = {}, {}
+    for i, sub in enumerate(subs):
+        by_content.setdefault(sub.content, []).append(i)
+        by_fields.setdefault((sub.labels, sub.adj), []).append(i)
+    assert sorted(by_content.values()) == sorted(by_fields.values())
+    assert len(subs) > len(by_fields) > len(subs) // 10  # many repeats, many classes
+    assert subs[0].content is subs[0].content  # built once, kept on the object
+
+
+def test_unpack_contents_gives_each_field_in_content_order():
+    subs = torus_and_hand_made_subgraphs()
+    for batch in (subs, subs[::-1][:7], subs[-2:], subs[:1]):
+        sizes, labels, degrees, neighbours = unpack_contents([sub.content for sub in batch])
+        assert sizes.tolist() == [sub.n for sub in batch]
+        assert labels.tolist() == [list(label) for sub in batch for label in sub.labels]
+        assert degrees.tolist() == [len(row) for sub in batch for row in sub.adj]
+        assert neighbours.tolist() == [w for sub in batch for row in sub.adj for w in row]

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from unilp.autodiff import PROB_EPS, Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.labeling import LabeledSubgraph, labeled_subgraph
+from unilp.labeling import labeled_subgraph
 from unilp.model import (
     ContextSet,
     GRADCHECK_CONFIG,
@@ -705,14 +705,19 @@ def test_batch_loss_encodes_each_content_once(params, dataset, monkeypatch):
     assert len(encoded) == len(contents) == len({sub.content for sub in encoded})
 
 
-def test_content_keyed_batch_loss_equals_id_keyed_reference(dataset, monkeypatch):
+def one_row_per_use(subs):
+    subs = list(subs)
+    return subs, list(range(len(subs)))
+
+
+def test_content_keyed_batch_loss_equals_per_use_reference(dataset, monkeypatch):
     items = batch_with_equal_content_copies(dataset)
     for cfg, seed in ((SMALL, 0), (ModelConfig.from_dict({**SMALL.to_dict(), "heads": 4}), 1)):
         params = init_params(cfg, seed)
         got_loss, got_grads = batched_loss_and_grads(params, cfg, items)
         with monkeypatch.context() as patch:
-            # the reference keys rows by object: one row per subgraph object
-            patch.setattr(LabeledSubgraph, "content", property(id))
+            # the reference encodes one row per use of a subgraph
+            patch.setattr(model_module, "distinct_contents", one_row_per_use)
             want_loss, want_grads = batched_loss_and_grads(params, cfg, items)
         assert got_loss == want_loss
         assert got_grads.keys() == want_grads.keys()

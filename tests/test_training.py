@@ -584,22 +584,22 @@ def test_transfer_probe_empty_extra_changes_nothing():
 
 
 def test_pretrain_builds_each_content_key_once(monkeypatch):
-    """A subgraph's content key is built the first time a batch or a
-    validation pass uses it and kept on the cached object: an epoch that
-    uses only subgraphs of the dataset's cache that earlier batches used
-    builds no key, and neither does a validation pass over the pairs an
-    earlier one scored. Keys are counted per phase, batches and validation
-    apart, so validation's keys never pass for a later epoch's."""
+    """A subgraph's packed content (its key and its encoder input) is built
+    the first time a batch or a validation pass uses it and kept on the
+    cached object: an epoch that uses only subgraphs of the dataset's cache
+    that earlier batches used packs none, and neither does a validation
+    pass over the pairs an earlier one scored. Contents are counted per
+    phase, batches and validation apart, so validation's never pass for a
+    later epoch's."""
     ds = LinkDataset.from_graph("tri", lattice(rows=4, cols=4), seed=0)
     phase = [("batches", 1)]
-    built, used = {}, {}  # keys built per phase; the subgraph objects batches used per epoch, by id
+    built, used = {}, {}  # contents packed per phase; the subgraph objects batches used per epoch, by id
 
-    class CountingContent(unilp.labeling.SubgraphContent):
-        __slots__ = ()
+    original_pack = unilp.labeling.pack_content
 
-        def __init__(self, labels, adj):
-            built[phase[0]] = built.get(phase[0], 0) + 1
-            super().__init__(labels, adj)
+    def counting_pack(labels, adj):
+        built[phase[0]] = built.get(phase[0], 0) + 1
+        return original_pack(labels, adj)
 
     original_loss, original_validation = unilp.training.batch_loss, unilp.training._merged_validation
 
@@ -617,7 +617,7 @@ def test_pretrain_builds_each_content_key_once(monkeypatch):
         finally:
             phase[0] = ("batches", epoch + 1)
 
-    monkeypatch.setattr(unilp.labeling, "SubgraphContent", CountingContent)
+    monkeypatch.setattr(unilp.labeling, "pack_content", counting_pack)
     monkeypatch.setattr(unilp.training, "batch_loss", loss_spy)
     monkeypatch.setattr(unilp.training, "_merged_validation", validation_spy)
     # every query in both epochs, and contexts of every other observed edge
@@ -630,7 +630,8 @@ def test_pretrain_builds_each_content_key_once(monkeypatch):
     assert built[("batches", 1)] == len(used[1])
     assert used[2].keys() <= used[1].keys()
     assert ("batches", 2) not in built
-    # scoring keys its queries on content too: the first validation builds
-    # the keys of the pairs no batch used, the second one none
+    # scoring encodes its queries from their contents too: the first
+    # validation builds the contents of the pairs no batch used, the second
+    # one none
     assert built[("validation", 1)] > 0
     assert ("validation", 2) not in built
