@@ -336,11 +336,13 @@ class Tape:
             raise ConfigError("take_rows index out of range")
 
         def scatter_add(g):
-            # scatter-add as a sparse product: repeated rows sum in order
-            scatter = sp.csr_matrix(
-                (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(x.values.shape[0], idx.size)
+            # the gather as a selection matrix, one row per pick; its
+            # transpose is a CSC view, whose product (as in spmm) sums
+            # repeated rows in pick order
+            pick = sp.csr_matrix(
+                (np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(idx.size, x.values.shape[0])
             )
-            return scatter @ g
+            return pick.T @ g
 
         return self._emit(x.values[idx], ((x, scatter_add),), "take_rows")
 

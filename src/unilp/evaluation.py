@@ -7,16 +7,20 @@ after removing any edge between them, what fraction are themselves linked?
 Regular lattices give clean constants here, which makes them useful probes
 for whether a context-conditioned scorer actually reads its context.
 
-`score_pairs` scores queries in fixed chunks against one shared context. A
-chunk encodes every query, scores each distinct encoder row once (many pairs
-of a lattice look alike) and gathers one probability per pair: bit-identical,
-as a query's probability depends only on its row.
+`score_pairs` scores queries in blocks of up to `SCORE_BLOCK` pairs against
+one shared context. A block encodes every query in one encoder call, scores
+each distinct encoder row once (many pairs of a lattice look alike), in
+slices of `SCORE_CHUNK` rows, and gathers one probability per pair. A
+subgraph's row is bit-identical in any batch and a query's probability
+depends only on its row, so scores are bit-identical whatever the block,
+the slice or the number of workers.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +42,9 @@ from .graphs import (
 from .model import MODE_NO_CONTEXT, ContextSet, ModelConfig, encode_subgraphs, predict_batch
 from .autodiff import Tape, const
 
-#: Pairs scored per chunk; fixed so parallel and serial runs agree bit-for-bit.
+#: Most pairs one encoder call takes while scoring.
+SCORE_BLOCK = 1024
+#: Distinct rows per predict_batch call; bounds the (B, m, F) attention peak.
 SCORE_CHUNK = 64
 
 FLIP_LABEL = "flip_label"
@@ -200,15 +206,27 @@ def _constants(param_values: dict) -> dict:
     return {name: const(values) for name, values in param_values.items()}
 
 
-def _score_chunk(params, config, dataset, pairs, ctx_values, n_ctx_pos):
-    """Probabilities of one chunk of pairs: each distinct encoder row (by bit
-    pattern, so -0.0 and 0.0 stay apart) is scored once, gathered per pair."""
+def _score_block(params, config, dataset, pairs, ctx_values, n_ctx_pos):
+    """Probabilities of one block of pairs: the block is encoded in one call,
+    and each distinct encoder row (by bit pattern, so -0.0 and 0.0 stay
+    apart) is scored once, SCORE_CHUNK rows at a time, and gathered per pair."""
     tape = Tape()
     h = encode_subgraphs(params, config, [dataset.subgraph(p, config) for p in pairs], tape).values
     bits = np.ascontiguousarray(h).view(np.dtype((np.void, h.itemsize * h.shape[1]))).ravel()
     _, first, picks = np.unique(bits, return_index=True, return_inverse=True)
+    rows = h[first]
     h_ctx = None if ctx_values is None else const(ctx_values)
-    return predict_batch(params, config, const(h[first]), h_ctx, n_ctx_pos, tape).values[picks].tolist()
+    probs = [predict_batch(params, config, const(rows[lo:lo + SCORE_CHUNK]), h_ctx, n_ctx_pos, tape).values
+             for lo in range(0, len(rows), SCORE_CHUNK)]
+    return np.concatenate(probs)[picks]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 _WORKER_STATE = {}
@@ -225,16 +243,19 @@ def _worker_init(param_values, config, split, name, ctx_values, n_ctx_pos):
 
 def _worker_score(pairs):
     state = _WORKER_STATE
-    return _score_chunk(state["params"], state["config"], state["dataset"], pairs, *state["ctx"])
+    return _score_block(state["params"], state["config"], state["dataset"], pairs, *state["ctx"])
 
 
 def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs: int = 1):
     """Probability per query pair, in order.
 
-    The context is embedded once; queries are scored in fixed-size chunks so
-    the result is bit-identical whatever `jobs` is. In process and in
-    workers alike, the parameters enter as constants: scoring records no
-    backward graph and never touches a parameter's gradient.
+    The context is embedded once. Queries are scored in blocks of up to
+    SCORE_BLOCK pairs; with several workers (at most `jobs`, and at most the
+    CPUs this process may use) a block holds an equal share of the pairs,
+    but no fewer than SCORE_CHUNK, so every worker gets a block. The result
+    is bit-identical whatever `jobs` is. In process and in workers alike,
+    the parameters enter as constants: scoring records no backward graph and
+    never touches a parameter's gradient.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
@@ -244,16 +265,16 @@ def score_pairs(params, config: ModelConfig, dataset, pairs, context=None, jobs:
     param_values = {name: t.values for name, t in params.items()}
     params = _constants(param_values)
     ctx_values, n_ctx_pos = _encode_context_values(params, config, context)
-    chunks = [pairs[lo : lo + SCORE_CHUNK] for lo in range(0, len(pairs), SCORE_CHUNK)]
-    if jobs == 1 or len(chunks) <= 1:
-        out = [s for chunk in chunks
-               for s in _score_chunk(params, config, dataset, chunk, ctx_values, n_ctx_pos)]
-        return np.array(out, dtype=np.float64)
+    workers = min(jobs, _usable_cpus())
+    size = min(SCORE_BLOCK, max(SCORE_CHUNK, -(-len(pairs) // workers)))
+    blocks = [pairs[lo : lo + size] for lo in range(0, len(pairs), size)]
+    if workers == 1 or len(blocks) == 1:
+        return np.concatenate([_score_block(params, config, dataset, block, ctx_values, n_ctx_pos)
+                               for block in blocks])
     initargs = (param_values, config, dataset.split, dataset.name, ctx_values, n_ctx_pos)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks)), initializer=_worker_init,
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks)), initializer=_worker_init,
                              initargs=initargs) as pool:
-        out = [s for chunk_scores in pool.map(_worker_score, chunks) for s in chunk_scores]
-    return np.array(out, dtype=np.float64)
+        return np.concatenate(list(pool.map(_worker_score, blocks)))
 
 
 # ---------------------------------------------------------------------------

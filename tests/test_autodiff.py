@@ -165,6 +165,22 @@ def test_take_rows_gradient_accumulates_repeats():
         Tape().take_rows(param(np.ones((2, 2))), [0, 5])
 
 
+@pytest.mark.parametrize("picks", [[0, 2, 2, 1, 2, 0, 2], [3, 1, 0, 1, 3, 3, 2, 1, 3, 0], []],
+                         ids=["repeated", "unsorted", "empty"])
+def test_take_rows_gradient_equals_sequential_add_at_bit_for_bit(picks):
+    out = Tape().take_rows(param(safe_values((4, 5), 3)), picks)
+    ((_, scatter_add),) = out._grads
+    rng = derive_rng(4, "test-take-rows-grad", len(picks))
+    # magnitudes far apart, so any change in summation order shows in the bits
+    g = rng.standard_normal((len(picks), 5)) * 10.0 ** rng.integers(-8, 9, (len(picks), 5))
+    if len(picks):
+        g[0, 0] = -0.0
+    expected = np.zeros((4, 5))
+    np.add.at(expected, np.asarray(picks, dtype=np.int64), g)
+    got = np.asarray(scatter_add(g))
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def test_slice_and_reshape_gradients():
     params = {"x": param(safe_values((3, 6), 8))}
 

@@ -216,13 +216,32 @@ def test_perturb_unknown_kind(tri_dataset):
 # scoring
 
 
-def test_score_pairs_parallel_matches_serial(tri_dataset):
+def record_pool_starts(monkeypatch, cpus=2):
+    """Worker counts of the process pools score_pairs starts (real ones),
+    on a host made to look as if the process may use `cpus` CPUs."""
+    import unilp.evaluation as evaluation
+
+    started = []
+    real = evaluation.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+    return started
+
+
+def test_score_pairs_parallel_matches_serial(tri_dataset, monkeypatch):
+    started = record_pool_starts(monkeypatch)
     params = init_params(SMALL_ICL, seed=0)
     ctx = sample_context(tri_dataset, k=4, seed=1)
-    pairs = list(itertools.combinations(range(12), 2))  # 66 pairs -> two chunks
+    pairs = list(itertools.combinations(range(12), 2))  # 66 pairs: one block, or 64 and 2 over two workers
     serial = score_pairs(params, SMALL_ICL, tri_dataset, pairs, ctx, jobs=1)
     parallel = score_pairs(params, SMALL_ICL, tri_dataset, pairs, ctx, jobs=2)
-    assert np.array_equal(serial, parallel)
+    assert started == [2]
+    assert serial.tobytes() == parallel.tobytes()
     assert np.isfinite(serial).all()
     assert ((serial > 0) & (serial < 1)).all()
 
@@ -243,9 +262,10 @@ def test_score_pairs_is_chunk_independent_and_records_no_graph(tri_dataset, monk
                       mlp_layers=2, mlp_hidden=48, heads=4)
     params = init_params(cfg, seed=2)
     ctx = sample_context(tri_dataset, k=10, seed=3)
-    pairs = list(itertools.combinations(range(36), 2))[:70]  # chunks of 64 and 6
+    # one block, whose 89 distinct rows are scored in slices of 64 and 25
+    pairs = list(itertools.combinations(range(36), 2))[:100]
     scores = score_pairs(params, cfg, tri_dataset, pairs, ctx)
-    for i in (0, 17, 63, 64, 69):
+    for i in (0, 17, 63, 64, 99):
         assert score_pairs(params, cfg, tri_dataset, [pairs[i]], ctx)[0] == scores[i], i
     assert np.array_equal(score_pairs(params, cfg, tri_dataset, pairs[::-1], ctx), scores[::-1])
     plain = init_params(SMALL_PLAIN, seed=0)
@@ -264,9 +284,10 @@ def test_score_pairs_over_several_key_tiles_matches_pairs_alone(tri_dataset):
     params = init_params(cfg, seed=4)
     ctx = sample_context(tri_dataset, k=40, seed=5)
     per_tile = autodiff.KEY_SCORES_TILE // (ctx.size * cfg.attention_dim)
-    # a full chunk spans several tiles, the last one partly filled
+    # a full slice spans several tiles, the last one partly filled; these
+    # pairs have 89 distinct rows, a full slice and one of 25
     assert 1 <= per_tile < SCORE_CHUNK and SCORE_CHUNK % per_tile
-    pairs = list(itertools.combinations(range(36), 2))[:SCORE_CHUNK + 5]
+    pairs = list(itertools.combinations(range(36), 2))[:100]
     scores = score_pairs(params, cfg, tri_dataset, pairs, ctx)
     alone = [score_pairs(params, cfg, tri_dataset, [pair], ctx)[0] for pair in pairs]
     assert scores.tobytes() == np.array(alone).tobytes()
@@ -274,43 +295,65 @@ def test_score_pairs_over_several_key_tiles_matches_pairs_alone(tri_dataset):
 
 def test_score_pairs_encodes_every_query_and_scores_each_distinct_row_once(monkeypatch):
     import unilp.evaluation as evaluation
-    from unilp.evaluation import SCORE_CHUNK
+    from unilp.evaluation import SCORE_BLOCK, SCORE_CHUNK
 
-    ds = LinkDataset.from_graph("grid", lattice("grid", 10, 10), seed=0)
+    ds = LinkDataset.from_graph("tri", lattice("triangular", 20, 20), seed=0)
     params = init_params(SMALL_ICL, seed=1)
     ctx = sample_context(ds, k=6, seed=2)
-    pairs = list(ds.split.test_pos) + list(ds.split.test_neg)
-    encoded, scored = [], []
+    pairs = list(ds.split.test_pos) + list(ds.split.test_neg) + list(ds.split.observed)
+    calls = []  # ("encode", subs, rows) and ("predict", rows), in call order
 
     def encode_spy(params, config, subs, tape):
         h = original_encode(params, config, subs, tape)
-        encoded.append((list(subs), h.values.copy()))
+        calls.append(("encode", list(subs), h.values.copy()))
         return h
 
     def predict_spy(params, config, h_query, h_context, n_pos, tape):
-        scored.append(h_query.values.copy())
+        calls.append(("predict", h_query.values.copy()))
         return original_predict(params, config, h_query, h_context, n_pos, tape)
 
     original_encode, original_predict = evaluation.encode_subgraphs, evaluation.predict_batch
     monkeypatch.setattr(evaluation, "encode_subgraphs", encode_spy)
     monkeypatch.setattr(evaluation, "predict_batch", predict_spy)
     scores = score_pairs(params, SMALL_ICL, ds, pairs, ctx)
-    chunks = [pairs[lo:lo + SCORE_CHUNK] for lo in range(0, len(pairs), SCORE_CHUNK)]
-    # the first encoding is the context's
-    assert len(chunks) == 2 and len(encoded) == 3 and len(encoded[0][0]) == ctx.size
-    for chunk, (subs, h), rows in zip(chunks, encoded[1:], scored):
-        assert all(sub is ds.subgraph(pair, SMALL_ICL) for sub, pair in zip(subs, chunk))
-        assert len(subs) == len(chunk)
+    blocks = [pairs[lo:lo + SCORE_BLOCK] for lo in range(0, len(pairs), SCORE_BLOCK)]
+    # the first encoding is the context's, then one per block
+    encodes = [i for i, call in enumerate(calls) if call[0] == "encode"]
+    assert encodes[0] == 0 and len(calls[0][1]) == ctx.size
+    assert len(blocks) == 2 and len(encodes) == 1 + len(blocks)
+    for block, start, stop in zip(blocks, encodes[1:], encodes[2:] + [len(calls)]):
+        _, subs, h = calls[start]
+        assert len(subs) == len(block)
+        assert all(sub is ds.subgraph(pair, SMALL_ICL) for sub, pair in zip(subs, block))
+        slices = [rows for _, rows in calls[start + 1:stop]]
+        assert len(slices) > 1 and all(len(rows) <= SCORE_CHUNK for rows in slices)
+        scored = [row.tobytes() for rows in slices for row in rows]
         distinct = {row.tobytes() for row in h}
-        assert {row.tobytes() for row in rows} == distinct
+        assert len(scored) == len(set(scored)) == len(distinct) and set(scored) == distinct
         # equal contents give equal rows, and the encoder also merges some
         # unequal contents into one row
-        assert len(rows) == len(distinct) <= len({sub.content for sub in subs}) < len(chunk)
-    alone = [score_pairs(params, SMALL_ICL, ds, [pair], ctx)[0] for pair in pairs]
-    assert scores.tobytes() == np.array(alone).tobytes()
+        assert len(distinct) < len({sub.content for sub in subs}) < len(block)
+    alone = [score_pairs(params, SMALL_ICL, ds, [pair], ctx)[0] for pair in pairs[::7]]
+    assert scores[::7].tobytes() == np.array(alone).tobytes()
 
 
-def test_score_chunk_keeps_rows_that_differ_only_in_the_sign_of_zero_apart(monkeypatch):
+def test_score_pairs_is_bitwise_equal_across_block_sizes(tri_dataset, monkeypatch):
+    import unilp.evaluation as evaluation
+
+    cfg = ModelConfig(hidden_dim=16, attention_dim=16, embed_dim=16, encoder_layers=2,
+                      mlp_layers=2, mlp_hidden=16, heads=2)
+    params = init_params(cfg, seed=6)
+    ctx = sample_context(tri_dataset, k=8, seed=7)
+    pairs = list(itertools.combinations(range(36), 2))[:150]
+    default = score_pairs(params, cfg, tri_dataset, pairs, ctx)
+    alone = [score_pairs(params, cfg, tri_dataset, [pair], ctx)[0] for pair in pairs]
+    assert default.tobytes() == np.array(alone).tobytes()
+    for block in (7, 64):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
+        assert score_pairs(params, cfg, tri_dataset, pairs, ctx).tobytes() == default.tobytes(), block
+
+
+def test_score_block_keeps_rows_that_differ_only_in_the_sign_of_zero_apart(monkeypatch):
     import unilp.evaluation as evaluation
 
     rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.5, 1.0]])
@@ -327,24 +370,65 @@ def test_score_chunk_keeps_rows_that_differ_only_in_the_sign_of_zero_apart(monke
         def subgraph(self, pair, config):
             return pair
 
-    got = evaluation._score_chunk({}, SMALL_ICL, Pairs(), list(range(len(rows))), None, 0)
-    assert got == [0.0, 1.0, 0.0, 1.0, 0.5]
+    got = evaluation._score_block({}, SMALL_ICL, Pairs(), list(range(len(rows))), None, 0)
+    assert got.tolist() == [0.0, 1.0, 0.0, 1.0, 0.5]
     (h_query,) = scored
     assert len(h_query) == 3
 
 
-def test_score_pairs_with_two_jobs_equals_one_job_bitwise_at_three_layers():
+def test_score_pairs_with_two_jobs_equals_one_job_bitwise_at_three_layers(monkeypatch):
     from unilp.evaluation import SCORE_CHUNK
 
+    started = record_pool_starts(monkeypatch)
     cfg = ModelConfig(hidden_dim=16, attention_dim=16, embed_dim=16, encoder_layers=3,
                       mlp_layers=2, mlp_hidden=16, heads=2)
     ds = LinkDataset.from_graph("tri", lattice("triangular", 10, 10), seed=1)
     params = init_params(cfg, seed=2)
     ctx = sample_context(ds, k=6, seed=3)
     pairs = list(ds.split.test_pos) + list(ds.split.test_neg) + list(ds.split.observed)[:80]
-    assert len(pairs) > 2 * SCORE_CHUNK  # three chunks or more over two workers
+    assert len(pairs) > 2 * SCORE_CHUNK  # two blocks of more than SCORE_CHUNK pairs
     serial = score_pairs(params, cfg, ds, pairs, ctx, jobs=1)
     assert score_pairs(params, cfg, ds, pairs, ctx, jobs=2).tobytes() == serial.tobytes()
+    assert started == [2]
+
+
+def test_score_pairs_starts_no_more_workers_than_usable_cpus(tri_dataset, monkeypatch):
+    import os
+
+    import unilp.evaluation as evaluation
+
+    started = []
+
+    class InlinePool:
+        """Runs the blocks in this process: starts no worker."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
+    params = init_params(SMALL_ICL, seed=3)
+    ctx = sample_context(tri_dataset, k=4, seed=4)
+    pairs = list(itertools.combinations(range(36), 2))  # 630 pairs
+    serial = score_pairs(params, SMALL_ICL, tri_dataset, pairs, ctx)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert score_pairs(params, SMALL_ICL, tri_dataset, pairs, ctx, jobs=5000).tobytes() == serial.tobytes()
+    # without affinity masks, the CPU count bounds the workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert score_pairs(params, SMALL_ICL, tri_dataset, pairs, ctx, jobs=5000).tobytes() == serial.tobytes()
+    assert score_pairs(params, SMALL_ICL, tri_dataset, pairs, ctx, jobs=4).tobytes() == serial.tobytes()
+    assert started == [3, 5, 4]
 
 
 def test_score_pairs_canonicalizes_and_validates(tri_dataset):

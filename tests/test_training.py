@@ -362,7 +362,17 @@ def test_hop_cap_is_shared_by_training_validation_eval_and_workers(monkeypatch):
     pairs = list(split.test_pos) + list(split.test_neg) + list(split.observed)
     assert len(pairs) > SCORE_CHUNK  # so that jobs=2 starts two workers
     serial = score_pairs(params, HOP_CAPPED, eval_ds, pairs, ctx, jobs=1)
-    assert np.array_equal(score_pairs(params, HOP_CAPPED, eval_ds, pairs, ctx, jobs=2), serial)
+    started = []
+    real_pool = unilp.evaluation.ProcessPoolExecutor
+
+    def pool_spy(max_workers, **kwargs):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(unilp.evaluation, "ProcessPoolExecutor", pool_spy)
+    monkeypatch.setattr(unilp.evaluation, "_usable_cpus", lambda: 2)
+    parallel = score_pairs(params, HOP_CAPPED, eval_ds, pairs, ctx, jobs=2)
+    assert started == [2] and parallel.tobytes() == serial.tobytes()
     uncapped = replace(HOP_CAPPED, max_per_hop=None)
     assert not np.array_equal(score_pairs(params, uncapped, eval_ds, pairs, ctx), serial)
 
