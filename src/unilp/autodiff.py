@@ -39,7 +39,9 @@ intermediate is freed as soon as the next op is done with it.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +50,9 @@ import scipy.sparse as sp
 from .errors import ConfigError, DataError, NumericError
 from .graphs import write_json_atomic
 
-CHECKPOINT_VERSION = 1
+#: Format 2 stores each parameter's values as base64 of its little-endian
+#: float64 bytes; format 1, still read, stored them as a decimal JSON list.
+CHECKPOINT_VERSION = 2
 
 #: Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-12
@@ -498,11 +502,15 @@ def xavier_uniform(shape, rng) -> np.ndarray:
 
 
 def save_checkpoint(path, config: dict, params: dict):
+    """Write config and params as one JSON document in format 2: each
+    parameter's shape, and its values as base64 of their little-endian
+    float64 bytes, which load back bit for bit."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "config": config,
         "parameters": {
-            name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
+            name: {"shape": list(t.values.shape),
+                   "values": base64.b64encode(t.values.astype("<f8").tobytes()).decode("ascii")}
             for name, t in sorted(params.items())
         },
     }
@@ -510,7 +518,9 @@ def save_checkpoint(path, config: dict, params: dict):
 
 
 def load_checkpoint(path):
-    """Returns (config_dict, params). Rejects unknown format versions."""
+    """Returns (config_dict, params), each parameter's values a writable,
+    C-contiguous float64 array. Reads formats 2 and 1 and rejects any other
+    version, and any document that is not a checkpoint, with DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -518,17 +528,37 @@ def load_checkpoint(path):
         raise DataError(f"no such checkpoint: {path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not a valid checkpoint: {exc}")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} is not a valid checkpoint: the top level is not an object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"unsupported checkpoint format_version {version!r}")
+    entries = doc.get("parameters")
+    if not isinstance(entries, dict):
+        raise DataError("malformed checkpoint: 'parameters' is not an object")
     try:
-        params = {}
-        for name, entry in doc["parameters"].items():
-            values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            params[name] = param(values)
+        params = {name: param(_parameter_values(name, entry, version))
+                  for name, entry in entries.items()}
         return dict(doc["config"]), params
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint: {exc}")
+
+
+def _parameter_values(name: str, entry, version: int) -> np.ndarray:
+    """One checkpoint entry's values in its shape."""
+    if not isinstance(entry, dict):
+        raise DataError(f"malformed checkpoint: parameter {name!r} is not an object")
+    shape = entry["shape"]
+    if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+        raise DataError(f"malformed checkpoint: parameter {name!r} has shape {shape!r}")
+    if version == 1:
+        return np.array(entry["values"], dtype=np.float64).reshape(shape)
+    raw = base64.b64decode(entry["values"], validate=True)
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise DataError(f"malformed checkpoint: parameter {name!r} holds {len(raw)} bytes, "
+                        f"shape {shape} needs {size}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def clone_params(params: dict) -> dict:

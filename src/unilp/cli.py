@@ -192,15 +192,18 @@ def _cmd_label(args):
     vocab = config.vocab
     print(f"subgraph around ({args.u}, {args.v}): {sub.n} nodes, "
           f"{len(sub.local_edges())} edges, radius {args.radius}")
-    for i, node in enumerate(sub.nodes):
-        label = sub.labels[i]
+    for node, label in zip(sub.nodes, sub.labels):
         print(f"node {node}: label {label} index {vocab.index(label)}")
     return 0
 
 
 def _load_run_config(path):
     doc = _load_json(path)
-    seed = int(doc.get("seed", 0))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a run config must be a JSON object")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
     model_config = ModelConfig.from_dict(doc.get("model", {}))
     train_doc = dict(doc.get("train", {}))
     train_doc.setdefault("seed", seed)
@@ -216,6 +219,8 @@ def _cmd_pretrain(args):
         raise ConfigError("config needs a non-empty 'datasets' list")
     train_datasets, val_datasets = [], []
     for spec in specs:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"each 'datasets' entry must be an object, got {spec!r}")
         role = spec.get("role", "both")
         if role not in ("train", "val", "both"):
             raise ConfigError(f"unknown dataset role {role!r}")

@@ -539,7 +539,8 @@ def derive_seed_int(seed: int, *labels) -> int:
 
 
 def write_json_atomic(path, doc):
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Compact JSON, with no indent, so that `json` uses its C encoder."""
+    write_text_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def write_text_atomic(path, text: str):

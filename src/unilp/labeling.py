@@ -23,19 +23,21 @@ inside the extracted subgraph. drnl is the double-radius scheme
 
 which injectively encodes the orbit of (d_u, d_v) under swapping.
 
-`labeled_subgraph` is the one constructor: it extracts and labels in one
-step, so every `LabeledSubgraph` carries its labels. Its fields are plain
-tuples, which compare with `==` and sort as label tuples do. Its `content`
-packs all the encoder reads, labels and adj, into one bytes value: the key
-that lets a batch encode equal contents once, and the encoder's input, which
-`unpack_contents` turns into arrays. Only this module knows that layout.
+`labeled_subgraph` is the one constructor: it extracts, labels and packs in
+one step. A `LabeledSubgraph` stores its node ids, its radius and its
+`content`: the labels and local adjacency packed into one bytes value by
+`pack_content`. `content` is the stored form. It is the key that lets a
+batch encode equal contents once and the encoder's input, which
+`unpack_contents` turns into arrays. The `labels` and `adj` tuples are
+decoded from it on each read, for the CLI, `drnl_plus` and the tests. Only
+this module knows that layout.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,16 +99,15 @@ class LabelVocab:
 class LabeledSubgraph:
     """Induced, labeled ego subgraph around a target pair.
 
-    nodes:  original node ids; local index 0 is u, 1 is v, the rest ascend.
-    adj:    per-node tuples of local neighbor indices, each sorted.
-    radius: the extraction radius.
-    labels: per-node (a, b) label tuples (see drnl_plus).
+    nodes:   original node ids; local index 0 is u, 1 is v, the rest ascend.
+    radius:  the extraction radius.
+    content: labels and adj packed by `pack_content`, all the encoder reads.
+             Subgraphs that differ only in node ids or radius share it.
     """
 
     nodes: tuple
-    adj: tuple
     radius: int
-    labels: tuple
+    content: bytes
 
     @property
     def n(self) -> int:
@@ -116,20 +117,25 @@ class LabeledSubgraph:
     def pair(self) -> tuple:
         return (self.nodes[0], self.nodes[1])
 
+    @property
+    def labels(self) -> tuple:
+        """Per-node (a, b) label tuples (see drnl_plus), decoded from content."""
+        return _unpack_content(self.content)[0]
+
+    @property
+    def adj(self) -> tuple:
+        """Per-node tuples of sorted local neighbour indices, decoded from content."""
+        return _unpack_content(self.content)[1]
+
     def local_edges(self):
-        return [(i, j) for i in range(self.n) for j in self.adj[i] if i < j]
-
-    @cached_property
-    def content(self) -> bytes:
-        """What the encoder reads, packed by `pack_content`; built on first
-        use and kept on the object. Equal exactly when labels and adj are,
-        so subgraphs that differ only in node ids or radius share it."""
-        return pack_content(self.labels, self.adj)
+        adj = self.adj
+        return [(i, j) for i in range(self.n) for j in adj[i] if i < j]
 
 
-def pack_content(labels: tuple, adj: tuple) -> bytes:
-    """int64 [n, the 2n label slots, the n degrees, each row's neighbours]:
-    n splits the rest, so equal bytes mean equal labels and adj."""
+def pack_content(labels, adj) -> bytes:
+    """int64 [n, the 2n label slots, the n degrees, each row's neighbours]
+    of per-node label pairs and sorted local neighbour rows (tuples or
+    lists): n splits the rest, so equal bytes mean equal labels and adj."""
     vals = [len(adj)]
     for label in labels:
         vals += label
@@ -137,6 +143,15 @@ def pack_content(labels: tuple, adj: tuple) -> bytes:
     for row in adj:
         vals += row
     return struct.pack(f"{len(vals)}q", *vals)
+
+
+def _unpack_content(content: bytes) -> tuple:
+    """The labels and adj tuples that `pack_content` packed, as Python ints."""
+    vals = struct.unpack(f"{len(content) // 8}q", content)
+    n = vals[0]
+    labels = tuple(zip(vals[1:2 * n + 1:2], vals[2:2 * n + 2:2]))
+    ends = list(accumulate(vals[2 * n + 1:3 * n + 1], initial=3 * n + 1))
+    return labels, tuple(vals[a:b] for a, b in zip(ends, ends[1:]))
 
 
 def unpack_contents(contents: list) -> tuple:
@@ -151,21 +166,21 @@ def unpack_contents(contents: list) -> tuple:
     return sizes, flat[section == 1].reshape(-1, 2), flat[section == 2], flat[section == 3]
 
 
-def _bounded_bfs(rows, first, source: int, radius: int, cap, rng) -> dict:
-    """Distances within radius hops, reading `first` as the source's row;
+def _bounded_bfs(rows, first, source: int, radius: int, cap, rng) -> set:
+    """The nodes within radius hops, reading `first` as the source's row;
     each new frontier optionally thinned to cap nodes (uniform, seeded). A
     frontier is sorted only to be thinned: the seeded draw picks positions
     in ascending node order, and otherwise its order changes nothing."""
-    dist = {source: 0}
+    reached = {source}
     frontier = set(first)
     for depth in range(1, radius + 1):
         if cap is not None and len(frontier) > cap:
             ordered = sorted(frontier)
             frontier = [ordered[i] for i in sorted(rng.choice(len(ordered), size=cap, replace=False))]
-        dist.update(dict.fromkeys(frontier, depth))
+        reached.update(frontier)
         if depth < radius:
-            frontier = {w for x in frontier for w in rows[x]} - dist.keys()
-    return dist
+            frontier = {w for x in frontier for w in rows[x]} - reached
+    return reached
 
 
 def labeled_subgraph(g: Graph, pair, radius: int, remove_target: bool = True,
@@ -192,17 +207,17 @@ def labeled_subgraph(g: Graph, pair, radius: int, remove_target: bool = True,
     if remove_target and v in ends[0]:
         ends = [[w for w in ends[0] if w != v], [w for w in ends[1] if w != u]]
     rng = derive_rng(0, "hop-cap", u, v) if max_per_hop is not None else None
-    du = _bounded_bfs(rows, ends[0], u, radius, max_per_hop, rng)
-    dv = _bounded_bfs(rows, ends[1], v, radius, max_per_hop, rng)
-    nodes = [u, v] + sorted((du.keys() | dv.keys()) - {u, v})
+    reached = _bounded_bfs(rows, ends[0], u, radius, max_per_hop, rng)
+    reached |= _bounded_bfs(rows, ends[1], v, radius, max_per_hop, rng)
+    nodes = [u, v] + sorted(reached - {u, v})
     local = {orig: i for i, orig in enumerate(nodes)}
-    adj = tuple([tuple(sorted([local[w] for w in row if w in local]))
-                 for row in ends + [rows[x] for x in nodes[2:]]])
-    return LabeledSubgraph(nodes=tuple(nodes), adj=adj, radius=radius,
-                           labels=_drnl_plus(nodes, adj))
+    adj = [sorted([local[w] for w in row if w in local])
+           for row in ends + [rows[x] for x in nodes[2:]]]
+    return LabeledSubgraph(nodes=tuple(nodes), radius=radius,
+                           content=pack_content(_drnl_plus(nodes, adj), adj))
 
 
-def _local_distances(adj: tuple, source: int) -> list:
+def _local_distances(adj, source: int) -> list:
     """Hop distances from source inside the subgraph; -1 where unreachable."""
     dist = [-1] * len(adj)
     dist[source] = 0
@@ -216,8 +231,9 @@ def _local_distances(adj: tuple, source: int) -> list:
     return dist
 
 
-def _drnl_plus(nodes, adj: tuple) -> tuple:
-    """Per-node label tuples for the subgraph on `nodes` with local `adj`.
+def _drnl_plus(nodes, adj) -> tuple:
+    """Per-node label tuples for the subgraph on `nodes` with local `adj`
+    (a sequence of neighbour-index rows).
 
     Targets are (1, 0) by definition. Other nodes combine their in-subgraph
     distances to the two targets; unreachable-from-one-side nodes fall back

@@ -11,7 +11,7 @@ import numpy as np
 from unilp.autodiff import Tape, Tensor, _broadcast_shape, _unbroadcast
 from unilp.errors import ConfigError, DataError, NumericError
 from unilp.graphs import MAX_SIMPLE_PATH_LEN, Graph, LatticeSpec, canonical_pair
-from unilp.labeling import LabeledSubgraph, drnl
+from unilp.labeling import LabeledSubgraph, drnl, pack_content
 from unilp.rng import derive_rng
 
 #: Distance sentinel for node pairs with no connecting path.
@@ -184,8 +184,8 @@ def reference_labeled_subgraph(
         tuple(sorted(local[w] for w in neighbors(orig) if w in local))
         for orig in nodes
     )
-    return LabeledSubgraph(nodes=tuple(nodes), adj=adj, radius=radius,
-                           labels=_drnl_plus(nodes, adj))
+    return LabeledSubgraph(nodes=tuple(nodes), radius=radius,
+                           content=pack_content(_drnl_plus(nodes, adj), adj))
 
 
 def _local_distances(adj: tuple, source: int) -> list:

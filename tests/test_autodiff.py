@@ -1,4 +1,6 @@
+import base64
 import itertools
+import json
 import math
 
 import numpy as np
@@ -656,6 +658,59 @@ def test_checkpoint_rejects_bad_documents(tmp_path):
     path.write_text('{"format_version": 1, "config": {}, "parameters": {"w": {"shape": [2]}}}')
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_checkpoint_keeps_signed_zero_subnormals_and_extremes_bitwise(tmp_path):
+    values = np.array([[-0.0, 0.0, 5e-324], [-5e-324, 1.7e308, -1.7e308]])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, {}, {"w": param(values), "b": param(values[1])})
+    _, loaded = load_checkpoint(path)
+    for name, want in (("w", values), ("b", values[1])):
+        got = loaded[name].values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_loaded_checkpoint_arrays_are_writable_contiguous_float64(tmp_path):
+    rng = derive_rng(0, "test-ckpt-writable")
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, {}, {"w": param(rng.normal(size=(4, 3)).T), "s": param(np.array(2.5))})
+    _, loaded = load_checkpoint(path)
+    for name, t in loaded.items():
+        assert t.values.dtype == np.float64 and t.values.flags.c_contiguous, name
+        assert t.values.flags.writeable, name
+        t.values[...] = 1.0
+    assert loaded["w"].shape == (3, 4) and loaded["s"].shape == ()
+
+
+def test_checkpoint_rejects_bad_base64_and_byte_counts_that_miss_the_shape(tmp_path):
+    path = tmp_path / "bad.json"
+    eight = base64.b64encode(np.arange(3.0).tobytes()).decode("ascii")
+    for shape, values in (([3], "not base64!"), ([3], eight[:-4]), ([2], eight), ([4], eight),
+                          ([-3], eight), ([3.0], eight), ([3], 17)):
+        doc = {"format_version": 2, "config": {}, "parameters": {"w": {"shape": shape, "values": values}}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+    doc["parameters"]["w"] = {"shape": [3], "values": eight}
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path)[1]["w"].values.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_format_1_checkpoints_still_load(tmp_path):
+    """Format 1 held each parameter's values as a decimal JSON list, which
+    repr-exact float printing reads back to the same doubles."""
+    rng = derive_rng(0, "test-ckpt-v1")
+    params = {"w": rng.normal(size=(3, 4)), "b": np.array([-0.0, 5e-324, 1.7e308])}
+    doc = {"format_version": 1, "config": {"model": {"hidden_dim": 3}},
+           "parameters": {name: {"shape": list(v.shape), "values": v.ravel().tolist()}
+                          for name, v in params.items()}}
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc, indent=2))
+    config, loaded = load_checkpoint(path)
+    assert config == {"model": {"hidden_dim": 3}}
+    for name, want in params.items():
+        assert loaded[name].values.tobytes() == want.tobytes(), name
+        assert loaded[name].values.flags.writeable and loaded[name].requires_grad
 
 
 def test_clone_params_detaches_storage():

@@ -239,6 +239,18 @@ def test_pretrain_rejects_non_integer_config_values(ws, tmp_path):
         assert main(["pretrain", "--config", str(path), "--out", ckpt]) == 1, (section, key)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "a run config must be a JSON object"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"datasets": [["tri"]]}, "each 'datasets' entry must be an object, got ['tri']"),
+], ids=["top-level-list", "string-seed", "list-dataset-entry"])
+def test_pretrain_config_of_the_wrong_json_type_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "model.ckpt.json")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_finetune_command(ws, tmp_path, capsys):
     out = tmp_path / "tuned.ckpt.json"
     assert main(["finetune", "--checkpoint", str(ws / "plain.ckpt.json"),
@@ -330,6 +342,19 @@ def test_checkpoints_whose_parameters_do_not_fit_their_config_exit_2(ws, tmp_pat
     save_checkpoint(tmp_path / "good.ckpt.json", config, good)
     assert main(["eval", "--checkpoint", str(tmp_path / "good.ckpt.json"), "--split", split,
                  "--context-size", "6", "--hits-k", "5"]) == 0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "the top level is not an object"),
+    ({"format_version": 2, "config": {}, "parameters": [1]}, "'parameters' is not an object"),
+    ({"format_version": 2, "config": {}, "parameters": {"w": [1, 2]}},
+     "parameter 'w' is not an object"),
+], ids=["top-level-list", "parameters-list", "parameter-entry-list"])
+def test_checkpoint_of_the_wrong_json_type_exits_2(ws, tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.ckpt.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--checkpoint", str(path), "--split", str(ws / "tri.split.json")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_command(ws, tmp_path, capsys):

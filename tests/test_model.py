@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from unilp.autodiff import PROB_EPS, Tape, const
 from unilp.errors import ConfigError
 from unilp.graphs import Graph, LatticeSpec, generate_lattice
-from unilp.labeling import labeled_subgraph
+from unilp.labeling import labeled_subgraph, pack_content
 from unilp.model import (
     ContextSet,
     GRADCHECK_CONFIG,
@@ -294,7 +294,7 @@ def test_encode_subgraphs_rejects_empty_and_malformed(dataset, params):
     with pytest.raises(ConfigError, match="empty list"):
         encode_subgraphs(params, SMALL, [], Tape())
     for label in ((1, 1), (-1, 0), (0, -2)):
-        bad = dataclasses.replace(sub, labels=(label,) + sub.labels[1:])
+        bad = dataclasses.replace(sub, content=pack_content((label,) + sub.labels[1:], sub.adj))
         with pytest.raises(ConfigError, match="malformed label"):
             encode_subgraphs(params, SMALL, [sub, bad], Tape())
 
@@ -640,10 +640,12 @@ def test_batch_loss_encodes_each_subgraph_once_and_tape_does_not_grow(params, da
     assert nodes[0] == nodes[1] == nodes[2]
 
 
-def equal_content_copy(sub):
-    """Another subgraph object with sub's labels and adjacency, under other
-    node ids."""
-    return dataclasses.replace(sub, nodes=tuple(node + 1000 for node in sub.nodes))
+def equal_content_copy(sub, **changes):
+    """Another subgraph object with sub's labels and adjacency, packed again
+    into a new bytes object, under other node ids unless changes name
+    other fields to change."""
+    changes = changes or {"nodes": tuple(node + 1000 for node in sub.nodes)}
+    return dataclasses.replace(sub, content=pack_content(sub.labels, sub.adj), **changes)
 
 
 def test_equal_content_gives_equal_keys_and_bitwise_equal_encoder_rows(params, dataset):
@@ -655,7 +657,7 @@ def test_equal_content_gives_equal_keys_and_bitwise_equal_encoder_rows(params, d
     twins = next(group for group in groups.values() if len(group) > 1)
     assert twins[0].pair != twins[1].pair
     first = subs[0]
-    copies = [equal_content_copy(first), dataclasses.replace(first, radius=2)]
+    copies = [equal_content_copy(first), equal_content_copy(first, radius=2)]
     for a, b in [twins[:2]] + [(first, copy) for copy in copies]:
         assert a is not b and a.content is not b.content
         assert a.content == b.content and hash(a.content) == hash(b.content)

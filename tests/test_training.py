@@ -595,7 +595,7 @@ def test_transfer_probe_empty_extra_changes_nothing():
 
 def test_pretrain_builds_each_content_key_once(monkeypatch):
     """A subgraph's packed content (its key and its encoder input) is built
-    the first time a batch or a validation pass uses it and kept on the
+    when a batch or a validation pass first extracts it, and kept on the
     cached object: an epoch that uses only subgraphs of the dataset's cache
     that earlier batches used packs none, and neither does a validation
     pass over the pairs an earlier one scored. Contents are counted per
